@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lazymc_hopscotch::HopscotchSet;
-use lazymc_roaring::RoaringSet;
 use std::collections::HashSet;
 use std::hint::black_box;
 
@@ -29,7 +28,6 @@ fn bench_contains(c: &mut Criterion) {
             .collect();
 
         let hop: HopscotchSet = keys.iter().collect();
-        let roar: RoaringSet = keys.iter().collect();
         let std_set: HashSet<u32> = keys.iter().copied().collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
@@ -48,15 +46,6 @@ fn bench_contains(c: &mut Criterion) {
                 let mut hits = 0usize;
                 for &p in &probes {
                     hits += std_set.contains(black_box(&p)) as usize;
-                }
-                black_box(hits)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("roaring", n), &n, |b, _| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &p in &probes {
-                    hits += roar.contains(black_box(p)) as usize;
                 }
                 black_box(hits)
             })

@@ -1,132 +1,8 @@
-//! The reproducible perf harness behind `lazymc bench`.
-//!
-//! Three synthetic suites mirror the régimes of the paper's corpus:
-//!
-//! * **quick** — seconds-scale smoke inputs for CI; exercises every code
-//!   path (dense MC, k-VC, filters, reduction) without meaning as a
-//!   benchmark.
-//! * **dense** — quasi-random and overlapping-clique instances whose
-//!   filtered neighbourhoods survive to detailed search by the hundreds;
-//!   wall time is dominated by the subgraph solvers and the coloring
-//!   kernels, so this is the suite that detects solver-kernel regressions.
-//! * **sparse** — large power-law / planted instances where ordering,
-//!   k-core and the filters dominate; detects preprocessing and
-//!   parallel-substrate regressions.
-//!
-//! Each case is solved `reps` times; the median wall time goes into the
-//! report, and the allocation counters (when the binary installed
-//! [`crate::alloc::CountingAlloc`]) are read around the *last* repetition
-//! — the steady-state one, after the scratch arenas warmed up. Results
-//! serialize to the JSON schema documented in `docs/perf.md`
-//! (`"schema": "lazymc-bench/v1"`), committed as `BENCH_<tag>.json` so the
-//! repo carries a perf trajectory across PRs.
+//! Host facts for benchmark reports.
 
-use crate::alloc::{snapshot, tracking_enabled, AllocSnapshot};
-use lazymc_core::{Config, LazyMc};
-use lazymc_graph::{gen, CsrGraph};
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// One benchmark case: a graph plus the solver configuration to run on it.
-pub struct BenchCase {
-    /// Stable case name (used as the JSON key and the graph-export stem).
-    pub name: &'static str,
-    /// The input graph.
-    pub graph: CsrGraph,
-    /// Solver configuration.
-    pub config: Config,
-}
-
-/// Measured outcome of one case.
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    pub name: &'static str,
-    pub n: usize,
-    pub m: usize,
-    pub omega: usize,
-    pub reps: usize,
-    /// Median wall time across repetitions, milliseconds.
-    pub wall_ms_median: f64,
-    /// Fastest repetition, milliseconds.
-    pub wall_ms_min: f64,
-    /// Wall-time percentiles across repetitions, milliseconds (nearest-
-    /// rank over the sorted repetition walls; with few reps the upper
-    /// percentiles collapse onto the slowest repetition). Additive
-    /// `lazymc-bench/v1` fields: always emitted, absence accepted.
-    pub wall_p50_ms: f64,
-    pub wall_p90_ms: f64,
-    pub wall_p99_ms: f64,
-    pub mc_nodes: u64,
-    pub vc_nodes: u64,
-    pub searched_mc: u64,
-    pub searched_kvc: u64,
-    pub reduced_vertices: u64,
-    pub vc_reductions: u64,
-    /// Subtree tasks generated by intra-solve work splitting during the
-    /// last repetition (0 for a fully sequential run).
-    pub split_tasks: u64,
-    /// Split tasks executed by a worker other than their generator.
-    pub steals: u64,
-    /// Incumbent/early-stop broadcasts between parallel solve workers.
-    pub incumbent_broadcasts: u64,
-    /// Heap allocations during the last (steady-state) repetition.
-    pub alloc_count: u64,
-    /// Bytes allocated during the last repetition.
-    pub alloc_bytes: u64,
-    /// Process-wide live-byte high-water mark after the last repetition.
-    pub peak_bytes: u64,
-    /// Service-suite measurements (`--suite service` only): additive
-    /// `lazymc-bench/v1` fields, absent from solver-suite cases.
-    pub service: Option<ServiceCaseStats>,
-}
-
-/// HTTP-level measurements of one service-suite case.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceCaseStats {
-    /// Sustained requests per second over the case's request stream.
-    pub requests_per_sec: f64,
-    /// `/healthz` latency percentiles, milliseconds (0 when the case did
-    /// not probe health).
-    pub healthz_p50_ms: f64,
-    pub healthz_p99_ms: f64,
-}
-
-/// A full suite run.
-pub struct SuiteResult {
-    pub suite: &'static str,
-    /// The *effective* thread count the cases ran with: the (clamped)
-    /// `--threads` override when one was given, otherwise the ambient
-    /// pool's parallelism — not a hardcoded echo of the request.
-    pub threads: usize,
-    pub reps: usize,
-    /// Whether allocation counters were live in this process.
-    pub alloc_tracked: bool,
-    /// Logical cores on the recording host (additive `lazymc-bench/v1`
-    /// field; `None` keeps pre-host reports byte-identical).
-    pub host_cores: Option<u64>,
-    /// Total physical memory on the recording host, bytes.
-    pub host_mem_bytes: Option<u64>,
-    pub cases: Vec<CaseResult>,
-}
-
-impl SuiteResult {
-    /// Sum of median wall times, milliseconds.
-    pub fn total_wall_ms(&self) -> f64 {
-        self.cases.iter().map(|c| c.wall_ms_median).sum()
-    }
-}
-
-/// The suite names `lazymc bench --suite` accepts. The first three are
-/// solver suites built by [`suite`]; `service` is the HTTP-level suite
-/// the CLI drives against an in-process daemon, and `sparse-massive` is
-/// the 10M+-edge zero-copy régime the CLI builds on demand (generating
-/// its graphs eagerly here would make every other suite pay its cost).
-pub const SUITES: &[&str] = &["quick", "dense", "sparse", "service", "sparse-massive"];
-
-/// Host facts for the report (`host_cores`, `host_mem_bytes`): logical
-/// CPUs from the scheduler, total memory from `/proc/meminfo`. Either
-/// side is `None` when the platform won't say — the schema treats both
-/// as additive.
+/// Logical CPUs from the scheduler and total memory from `/proc/meminfo`,
+/// as `(host_cores, host_mem_bytes)`. Either side is `None` when the
+/// platform won't say.
 pub fn host_facts() -> (Option<u64>, Option<u64>) {
     let cores = std::thread::available_parallelism()
         .ok()
@@ -141,374 +17,4 @@ pub fn host_facts() -> (Option<u64>, Option<u64>) {
             })
         });
     (cores, mem)
-}
-
-/// Builds the named suite's cases, or `None` for an unknown name.
-pub fn suite(name: &str) -> Option<Vec<BenchCase>> {
-    let dense_cfg = Config::default();
-    let reduction_cfg = Config {
-        subgraph_reduction: true,
-        ..Config::default()
-    };
-    match name {
-        "quick" => Some(vec![
-            case("paley-101", gen::paley(101), Config::default()),
-            case("gnp-150-040", gen::gnp(150, 0.40, 7), Config::default()),
-            case(
-                "overlap-150",
-                gen::dense_overlap(150, 20, 8, 14, 0.10, 9),
-                Config::default(),
-            ),
-            case(
-                "planted-400",
-                gen::planted_clique(400, 0.02, 14, 99),
-                Config::default(),
-            ),
-            case("caveman-160", gen::caveman(20, 8, 0.05, 3), reduction_cfg),
-        ]),
-        "dense" => Some(vec![
-            // Quasi-random, self-complementary: the classic hard dense
-            // instances; nearly every neighbourhood survives filtering.
-            case("paley-401", gen::paley(401), dense_cfg.clone()),
-            case("paley-577", gen::paley(577), dense_cfg.clone()),
-            // Uniform dense G(n,p): large clique-core gap, many detailed
-            // MC searches with deep coloring.
-            case("gnp-300-055", gen::gnp(300, 0.55, 11), dense_cfg.clone()),
-            case("gnp-400-045", gen::gnp(400, 0.45, 5), dense_cfg.clone()),
-            // Hamming distance-≥2 graph: huge dense neighbourhoods.
-            case("hamming-8-2", gen::hamming(8, 2), dense_cfg.clone()),
-            // Overlapping planted cliques over a dense background, with
-            // the MC-BRB reduction extension enabled.
-            case(
-                "overlap-400-red",
-                gen::dense_overlap(400, 40, 14, 22, 0.12, 21),
-                reduction_cfg,
-            ),
-            // φ = 0 forces every detailed search through the k-VC engine.
-            case(
-                "gnp-250-060-kvc",
-                gen::gnp(250, 0.60, 17),
-                Config::default().with_density_threshold(0.0),
-            ),
-        ]),
-        "sparse" => Some(vec![
-            case(
-                "ba-50k-8",
-                gen::barabasi_albert(50_000, 8, 13),
-                Config::default(),
-            ),
-            case(
-                "planted-20k",
-                gen::planted_clique(20_000, 0.0008, 24, 42),
-                Config::default(),
-            ),
-            case(
-                "rmat-16-16",
-                gen::rmat(16, 16, 0.57, 0.19, 0.19, 3),
-                Config::default(),
-            ),
-            case(
-                "caveman-4k",
-                gen::caveman(400, 10, 0.02, 8),
-                Config::default(),
-            ),
-            case(
-                "apollonian-30k",
-                gen::apollonian(30_000, 5),
-                Config::default(),
-            ),
-        ]),
-        _ => None,
-    }
-}
-
-fn case(name: &'static str, graph: CsrGraph, config: Config) -> BenchCase {
-    BenchCase {
-        name,
-        graph,
-        config,
-    }
-}
-
-/// Runs every case `reps` times, reporting progress through `progress`.
-/// `threads` overrides every case's solver thread count when non-zero
-/// (clamped to [`Config::thread_cap`]); `0` keeps each case's own config
-/// and the ambient pool.
-pub fn run_suite(
-    suite_name: &'static str,
-    cases: &[BenchCase],
-    reps: usize,
-    threads: usize,
-    mut progress: impl FnMut(&CaseResult),
-) -> SuiteResult {
-    let reps = reps.max(1);
-    let threads = Config::clamp_threads(threads);
-    let alloc_tracked = tracking_enabled();
-    let mut results = Vec::with_capacity(cases.len());
-    for c in cases {
-        let mut config = c.config.clone();
-        if threads > 0 {
-            config.threads = threads;
-        }
-        let solver = LazyMc::new(config);
-        let mut walls = Vec::with_capacity(reps);
-        let mut last = None;
-        let mut alloc_delta = AllocSnapshot::default();
-        for rep in 0..reps {
-            let measured = rep + 1 == reps;
-            if measured {
-                // Scope the high-water mark to this case's steady-state
-                // repetition; without the reset it would be the running
-                // maximum across every prior case and suite construction.
-                crate::alloc::reset_peak();
-            }
-            let before = snapshot();
-            let t = Instant::now();
-            let r = solver.solve(&c.graph);
-            walls.push(t.elapsed().as_secs_f64() * 1e3);
-            if measured {
-                alloc_delta = snapshot().delta(&before);
-            }
-            last = Some(r);
-        }
-        let r = last.expect("reps >= 1");
-        walls.sort_by(|a, b| a.total_cmp(b));
-        // Nearest-rank percentile over the sorted repetition walls.
-        let pct = |q: f64| walls[((q * walls.len() as f64).ceil() as usize).max(1) - 1];
-        let result = CaseResult {
-            name: c.name,
-            n: c.graph.num_vertices(),
-            m: c.graph.num_edges(),
-            omega: r.size(),
-            reps,
-            wall_ms_median: walls[walls.len() / 2],
-            wall_ms_min: walls[0],
-            wall_p50_ms: pct(0.50),
-            wall_p90_ms: pct(0.90),
-            wall_p99_ms: pct(0.99),
-            mc_nodes: r.metrics.mc_nodes,
-            vc_nodes: r.metrics.vc_nodes,
-            searched_mc: r.metrics.searched_mc,
-            searched_kvc: r.metrics.searched_kvc,
-            reduced_vertices: r.metrics.reduced_vertices,
-            vc_reductions: r.metrics.vc_reductions,
-            split_tasks: r.metrics.split_tasks,
-            steals: r.metrics.steals,
-            incumbent_broadcasts: r.metrics.incumbent_broadcasts,
-            alloc_count: alloc_delta.allocs,
-            alloc_bytes: alloc_delta.allocated_bytes,
-            peak_bytes: alloc_delta.peak_bytes,
-            service: None,
-        };
-        progress(&result);
-        results.push(result);
-    }
-    let (host_cores, host_mem_bytes) = host_facts();
-    SuiteResult {
-        suite: suite_name,
-        threads: if threads > 0 {
-            threads
-        } else {
-            rayon::current_num_threads()
-        },
-        reps,
-        alloc_tracked,
-        host_cores,
-        host_mem_bytes,
-        cases: results,
-    }
-}
-
-/// Serializes a suite run to the `lazymc-bench/v1` JSON schema
-/// (documented in `docs/perf.md`). Field order is fixed; numbers are
-/// plain decimals, so the output is byte-stable for identical inputs.
-pub fn to_json(r: &SuiteResult) -> String {
-    let mut out = String::new();
-    out.push('{');
-    let _ = write!(
-        out,
-        "\"schema\":\"lazymc-bench/v1\",\"suite\":\"{}\",\"threads\":{},\"reps\":{},\"alloc_tracked\":{}",
-        r.suite, r.threads, r.reps, r.alloc_tracked
-    );
-    // Additive host facts: emitted when known, absence accepted by the
-    // validator (old reports and exotic platforms stay valid).
-    if let Some(cores) = r.host_cores {
-        let _ = write!(out, ",\"host_cores\":{cores}");
-    }
-    if let Some(mem) = r.host_mem_bytes {
-        let _ = write!(out, ",\"host_mem_bytes\":{mem}");
-    }
-    out.push_str(",\"cases\":[");
-    for (i, c) in r.cases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"n\":{},\"m\":{},\"omega\":{},\"reps\":{},\
-             \"wall_ms_median\":{:.3},\"wall_ms_min\":{:.3},\
-             \"wall_p50_ms\":{:.3},\"wall_p90_ms\":{:.3},\"wall_p99_ms\":{:.3},\
-             \"mc_nodes\":{},\"vc_nodes\":{},\"searched_mc\":{},\"searched_kvc\":{},\
-             \"reduced_vertices\":{},\"vc_reductions\":{},\
-             \"split_tasks\":{},\"steals\":{},\"incumbent_broadcasts\":{},\
-             \"alloc_count\":{},\"alloc_bytes\":{},\"peak_bytes\":{}}}",
-            c.name,
-            c.n,
-            c.m,
-            c.omega,
-            c.reps,
-            c.wall_ms_median,
-            c.wall_ms_min,
-            c.wall_p50_ms,
-            c.wall_p90_ms,
-            c.wall_p99_ms,
-            c.mc_nodes,
-            c.vc_nodes,
-            c.searched_mc,
-            c.searched_kvc,
-            c.reduced_vertices,
-            c.vc_reductions,
-            c.split_tasks,
-            c.steals,
-            c.incumbent_broadcasts,
-            c.alloc_count,
-            c.alloc_bytes,
-            c.peak_bytes,
-        );
-        if let Some(s) = &c.service {
-            // Additive service fields: emitted inside the case object
-            // (replace the closing brace), absent from solver suites.
-            out.pop();
-            let _ = write!(
-                out,
-                ",\"requests_per_sec\":{:.1},\"healthz_p50_ms\":{:.3},\"healthz_p99_ms\":{:.3}}}",
-                s.requests_per_sec, s.healthz_p50_ms, s.healthz_p99_ms
-            );
-        }
-    }
-    let _ = write!(out, "],\"total_wall_ms\":{:.3}}}", r.total_wall_ms());
-    out
-}
-
-/// The per-case integer fields every `lazymc-bench/v1` case must carry
-/// (shared by the emitter above and the `--check` validator in the CLI).
-pub const CASE_INT_FIELDS: &[&str] = &[
-    "n",
-    "m",
-    "omega",
-    "reps",
-    "mc_nodes",
-    "vc_nodes",
-    "searched_mc",
-    "searched_kvc",
-    "reduced_vertices",
-    "vc_reductions",
-    "alloc_count",
-    "alloc_bytes",
-    "peak_bytes",
-];
-
-/// Schema-compatible *additive* per-case integer fields (intra-solve
-/// parallelism counters). New reports always carry them; the validator
-/// type-checks them when present but accepts their absence, so committed
-/// pre-parallelism reports stay valid.
-pub const CASE_OPT_INT_FIELDS: &[&str] = &["split_tasks", "steals", "incumbent_broadcasts"];
-
-/// Additive *top-level* integer fields recording the host that produced
-/// the report. Type-checked by the validator when present; absence is
-/// accepted so reports recorded before host stamping stay valid.
-pub const TOP_OPT_INT_FIELDS: &[&str] = &["host_cores", "host_mem_bytes"];
-
-/// Additive per-case *float* fields carried by `--suite service` cases
-/// (requests/sec and healthz-under-load latency); absent from solver
-/// suites, type-checked by the validator when present.
-pub const CASE_OPT_FLOAT_FIELDS: &[&str] = &[
-    "requests_per_sec",
-    "healthz_p50_ms",
-    "healthz_p99_ms",
-    "wall_p50_ms",
-    "wall_p90_ms",
-    "wall_p99_ms",
-];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_solver_suites_build() {
-        for name in SUITES {
-            if *name == "service" || *name == "sparse-massive" {
-                // These suites live in the CLI: service needs a running
-                // daemon, sparse-massive builds 10M+-edge graphs on
-                // demand. Neither has an eager case list here.
-                assert!(suite(name).is_none());
-                continue;
-            }
-            let cases = suite(name).unwrap();
-            assert!(!cases.is_empty(), "{name}");
-            for c in &cases {
-                assert!(c.graph.num_vertices() > 0, "{}", c.name);
-            }
-        }
-        assert!(suite("nope").is_none());
-    }
-
-    #[test]
-    fn quick_suite_runs_and_serializes() {
-        let cases: Vec<BenchCase> = suite("quick")
-            .unwrap()
-            .into_iter()
-            .filter(|c| c.graph.num_vertices() <= 160)
-            .collect();
-        let r = run_suite("quick", &cases, 1, 0, |_| {});
-        assert_eq!(r.cases.len(), cases.len());
-        for c in &r.cases {
-            assert!(c.omega >= 1);
-            assert!(c.wall_ms_median >= c.wall_ms_min);
-        }
-        let json = to_json(&r);
-        assert!(json.starts_with("{\"schema\":\"lazymc-bench/v1\""));
-        assert!(json.contains("\"total_wall_ms\""));
-        // On Linux both host facts resolve; the stamped report carries them.
-        if r.host_cores.is_some() {
-            assert!(json.contains("\"host_cores\":"));
-        }
-        if r.host_mem_bytes.is_some() {
-            assert!(json.contains("\"host_mem_bytes\":"));
-        }
-        for field in CASE_INT_FIELDS.iter().chain(CASE_OPT_INT_FIELDS) {
-            assert!(json.contains(&format!("\"{field}\":")), "{field}");
-        }
-        for field in ["wall_p50_ms", "wall_p90_ms", "wall_p99_ms"] {
-            assert!(json.contains(&format!("\"{field}\":")), "{field}");
-        }
-        for c in &r.cases {
-            assert!(c.wall_p50_ms <= c.wall_p90_ms && c.wall_p90_ms <= c.wall_p99_ms);
-            assert!(c.wall_ms_min <= c.wall_p50_ms);
-        }
-    }
-
-    #[test]
-    fn threads_override_is_recorded_and_clamped() {
-        let cases: Vec<BenchCase> = suite("quick")
-            .unwrap()
-            .into_iter()
-            .filter(|c| c.graph.num_vertices() <= 160)
-            .collect();
-        // An explicit override is echoed as the effective thread count.
-        let r = run_suite("quick", &cases, 1, 2, |_| {});
-        assert_eq!(r.threads, 2);
-        for (c, case) in r.cases.iter().zip(&cases) {
-            // The override must not change the answer.
-            let seq = LazyMc::new(case.config.clone()).solve(&case.graph);
-            assert_eq!(c.omega, seq.size(), "{}", c.name);
-        }
-        // An absurd request is clamped to the unified cap, not echoed.
-        let r = run_suite("quick", &cases[..1], 1, usize::MAX, |_| {});
-        assert_eq!(r.threads, Config::thread_cap());
-        // No override: the ambient pool's parallelism is recorded.
-        let r = run_suite("quick", &cases[..1], 1, 0, |_| {});
-        assert_eq!(r.threads, rayon::current_num_threads());
-    }
 }

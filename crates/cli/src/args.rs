@@ -35,14 +35,6 @@ const VALUED: &[&str] = &[
     "--drain-timeout-ms",
     "--scrub-interval-ms",
     "--mmap-threshold-bytes",
-    "--dir",
-    "--timeout-ms",
-    "--suite",
-    "--out",
-    "--reps",
-    "--write-graphs",
-    "--check-json",
-    "--compare",
 ];
 
 impl Parsed {

@@ -3,14 +3,13 @@
 //! ```text
 //! lazymc solve <file> [--threads N] [--budget SECS] [--phi F]
 //!                     [--no-early-exit] [--no-second-exit]
-//!                     [--prepopulate none|must|all] [--quiet]
+//!                     [--prepopulate none|must|all] [--reduction] [--quiet]
 //! lazymc stats <file>
 //! lazymc mce <file> [--histogram]
 //! lazymc compare <file> [--skip ALG[,ALG…]]
 //! lazymc gen <instance> <out-file> [--test]
-//! lazymc fetch [<name>…] [--dir DIR] [--list]
 //! lazymc serve [<addr>] [--workers N] [--max-graphs M] [--queue-cap Q]
-//!              [--data-dir DIR] [--mmap-threshold-bytes B]
+//!              [--data-dir DIR] [--mmap-threshold-bytes B] [--check]
 //! lazymc snapshot <graph-file> <out.lmcs>
 //! lazymc restore <file.lmcs> [<out-graph-file>]
 //! lazymc help
@@ -18,17 +17,20 @@
 //!
 //! Input files may be whitespace edge lists, DIMACS `.clq`/`.col`, or
 //! MatrixMarket `.mtx` (chosen by extension).
+//!
+//! `lazymc help` prints every flag. The benchmark is the separate
+//! `perfbench/` package (see `docs/perf.md`).
 
 #![deny(clippy::unwrap_used)]
 
 mod args;
 mod commands;
 
-/// Route every allocation through the counting allocator so
-/// `lazymc bench` can report per-case allocation stats (two relaxed
+/// Route every allocation through the counting allocator so the daemon's
+/// `--max-memory-bytes` watermarks can read the live heap (two relaxed
 /// atomic adds per allocation — noise for every command here).
 #[global_allocator]
-static ALLOC: lazymc_bench::alloc::CountingAlloc = lazymc_bench::alloc::CountingAlloc;
+static ALLOC: lazymc_obs::alloc::CountingAlloc = lazymc_obs::alloc::CountingAlloc;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -39,12 +41,10 @@ fn main() {
 fn run(argv: &[String]) -> i32 {
     match argv.first().map(String::as_str) {
         Some("solve") => commands::solve(&argv[1..]),
-        Some("bench") => commands::bench(&argv[1..]),
         Some("stats") => commands::stats(&argv[1..]),
         Some("mce") => commands::mce(&argv[1..]),
         Some("compare") => commands::compare(&argv[1..]),
         Some("gen") => commands::gen(&argv[1..]),
-        Some("fetch") => commands::fetch(&argv[1..]),
         Some("serve") => commands::serve(&argv[1..]),
         Some("snapshot") => commands::snapshot(&argv[1..]),
         Some("restore") => commands::restore(&argv[1..]),
@@ -73,6 +73,9 @@ mod tests {
     #[test]
     fn unknown_command_fails() {
         assert_eq!(run(&["frobnicate".into()]), 2);
+        // The benchmark is the separate perfbench package, not a command.
+        assert_eq!(run(&["bench".into(), "--suite".into(), "quick".into()]), 2);
+        assert_eq!(run(&["fetch".into(), "--list".into()]), 2);
     }
 
     #[test]
@@ -241,127 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_rejects_bad_inputs() {
-        assert_ne!(run(&["bench".into()]), 0);
-        assert_ne!(run(&["bench".into(), "--suite".into(), "nope".into()]), 0);
-        assert_ne!(
-            run(&[
-                "bench".into(),
-                "--check-json".into(),
-                "/nonexistent.json".into()
-            ]),
-            0
-        );
-    }
-
-    #[test]
-    fn bench_check_json_accepts_valid_rejects_invalid() {
-        let dir = std::env::temp_dir().join(format!("lazymc_bench_chk_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("good.json");
-        std::fs::write(
-            &good,
-            r#"{"schema":"lazymc-bench/v1","suite":"quick","threads":1,"reps":1,
-                "alloc_tracked":false,"cases":[{"name":"x","n":1,"m":0,"omega":1,
-                "reps":1,"wall_ms_median":0.1,"wall_ms_min":0.1,"mc_nodes":0,
-                "vc_nodes":0,"searched_mc":0,"searched_kvc":0,"reduced_vertices":0,
-                "vc_reductions":0,"alloc_count":0,"alloc_bytes":0,"peak_bytes":0}],
-                "total_wall_ms":0.1}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            run(&[
-                "bench".into(),
-                "--check-json".into(),
-                good.to_str().unwrap().into()
-            ]),
-            0
-        );
-        // Missing case fields / wrong schema tag must be rejected.
-        let bad = dir.join("bad.json");
-        std::fs::write(
-            &bad,
-            r#"{"schema":"lazymc-bench/v1","suite":"quick","threads":1,"reps":1,
-                "alloc_tracked":false,"cases":[{"name":"x"}],"total_wall_ms":0.1}"#,
-        )
-        .unwrap();
-        assert_ne!(
-            run(&[
-                "bench".into(),
-                "--check-json".into(),
-                bad.to_str().unwrap().into()
-            ]),
-            0
-        );
-        let wrong = dir.join("wrong.json");
-        std::fs::write(&wrong, r#"{"schema":"other/v2"}"#).unwrap();
-        assert_ne!(
-            run(&[
-                "bench".into(),
-                "--check-json".into(),
-                wrong.to_str().unwrap().into()
-            ]),
-            0
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_check_json_accepts_host_fields() {
-        let dir = std::env::temp_dir().join(format!("lazymc_bench_host_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Host-stamped report: additive fields type-checked when present.
-        let stamped = dir.join("stamped.json");
-        std::fs::write(
-            &stamped,
-            r#"{"schema":"lazymc-bench/v1","suite":"sparse-massive","threads":1,"reps":1,
-                "alloc_tracked":false,"host_cores":1,"host_mem_bytes":135160107008,
-                "cases":[{"name":"x","n":1,"m":0,"omega":1,
-                "reps":1,"wall_ms_median":0.1,"wall_ms_min":0.1,"mc_nodes":0,
-                "vc_nodes":0,"searched_mc":0,"searched_kvc":0,"reduced_vertices":0,
-                "vc_reductions":0,"alloc_count":0,"alloc_bytes":0,"peak_bytes":0}],
-                "total_wall_ms":0.1}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            run(&[
-                "bench".into(),
-                "--check-json".into(),
-                stamped.to_str().unwrap().into()
-            ]),
-            0
-        );
-        // Wrongly-typed host facts are rejected, not ignored.
-        let bad = dir.join("bad_host.json");
-        std::fs::write(
-            &bad,
-            r#"{"schema":"lazymc-bench/v1","suite":"quick","threads":1,"reps":1,
-                "alloc_tracked":false,"host_cores":"one",
-                "cases":[{"name":"x","n":1,"m":0,"omega":1,
-                "reps":1,"wall_ms_median":0.1,"wall_ms_min":0.1,"mc_nodes":0,
-                "vc_nodes":0,"searched_mc":0,"searched_kvc":0,"reduced_vertices":0,
-                "vc_reductions":0,"alloc_count":0,"alloc_bytes":0,"peak_bytes":0}],
-                "total_wall_ms":0.1}"#,
-        )
-        .unwrap();
-        assert_ne!(
-            run(&[
-                "bench".into(),
-                "--check-json".into(),
-                bad.to_str().unwrap().into()
-            ]),
-            0
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fetch_lists_and_rejects_unknown_corpus() {
-        assert_eq!(run(&["fetch".into(), "--list".into()]), 0);
-        assert_ne!(run(&["fetch".into(), "no-such-corpus".into()]), 0);
-    }
-
-    #[test]
     fn gen_rejects_unknown_instance() {
         assert_ne!(run(&["gen".into(), "nope".into(), "/tmp/x.clq".into()]), 0);
     }
@@ -377,5 +259,18 @@ mod tests {
             ]),
             0
         );
+        // Budgets no Duration can hold exit 1 with an error, not a panic.
+        for bad in ["-1", "nan", "inf", "1e300"] {
+            assert_eq!(
+                run(&[
+                    "solve".into(),
+                    "x.clq".into(),
+                    "--budget".into(),
+                    bad.into()
+                ]),
+                1,
+                "--budget {bad}"
+            );
+        }
     }
 }

@@ -18,8 +18,8 @@
 //! `A` is always a sorted slice; `B` is anything implementing
 //! [`Membership`] — a hopscotch hash set on the hot path, or a sorted slice
 //! when the lazy graph only has the array representation. Plain (no-exit)
-//! variants back the paper's Fig. 5 ablation, and sorted–sorted merge and
-//! galloping kernels serve the baselines.
+//! variants back the paper's Fig. 5 ablation, and a sorted–sorted merge
+//! kernel serves the baselines.
 //!
 //! ```
 //! use lazymc_hopscotch::HopscotchSet;
@@ -205,50 +205,6 @@ pub fn intersect_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) -> usize {
     out.len()
 }
 
-/// Galloping (exponential-search) intersection for strongly skewed sizes;
-/// `a` should be the smaller side. O(|a| · log |b|).
-pub fn intersect_gallop(a: &[u32], b: &[u32], out: &mut Vec<u32>) -> usize {
-    out.clear();
-    let mut lo = 0usize;
-    for &x in a {
-        if lo >= b.len() {
-            break;
-        }
-        // Exponential probe for an upper bound with b[lo+bound] >= x, then
-        // binary search the bracket [lo, lo+bound].
-        let mut bound = 1usize;
-        while lo + bound < b.len() && b[lo + bound] < x {
-            bound <<= 1;
-        }
-        let end = (lo + bound + 1).min(b.len());
-        match b[lo..end].binary_search(&x) {
-            Ok(off) => {
-                out.push(x);
-                lo += off + 1;
-            }
-            Err(off) => lo += off,
-        }
-    }
-    out.len()
-}
-
-/// Merge-based intersection *size* without materializing.
-pub fn intersect_size_sorted(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut c) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                c += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,25 +318,13 @@ mod tests {
     }
 
     #[test]
-    fn sorted_and_gallop_match_naive() {
+    fn sorted_matches_naive() {
         let a = [1u32, 4, 9, 16, 25, 36];
         let b = [2u32, 4, 8, 16, 32, 36, 40, 50];
         let want = naive(&a, &b);
         let mut out = Vec::new();
         assert_eq!(intersect_sorted(&a, &b, &mut out), want.len());
         assert_eq!(out, want);
-        assert_eq!(intersect_gallop(&a, &b, &mut out), want.len());
-        assert_eq!(out, want);
-        assert_eq!(intersect_size_sorted(&a, &b), want.len());
-    }
-
-    #[test]
-    fn gallop_handles_disjoint_and_empty() {
-        let mut out = Vec::new();
-        assert_eq!(intersect_gallop(&[], &[1, 2, 3], &mut out), 0);
-        assert_eq!(intersect_gallop(&[1, 2, 3], &[], &mut out), 0);
-        assert_eq!(intersect_gallop(&[1, 3], &[2, 4], &mut out), 0);
-        assert_eq!(intersect_gallop(&[5, 6, 7], &[1, 2, 3], &mut out), 0);
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! A counting global allocator for the perf harness.
+//! A counting global allocator.
 //!
 //! Wraps [`std::alloc::System`] with relaxed atomic counters: allocation
-//! count, cumulative allocated bytes, live bytes, and the high-water mark
-//! of live bytes. Installed as the `#[global_allocator]` of the `lazymc`
-//! binary so `lazymc bench` can report per-case allocation stats — the
-//! observable proof (or refutation) of the "zero steady-state allocation"
-//! claim the solver arenas make. Overhead is two relaxed `fetch_add`s per
-//! allocation, noise for every workload here.
+//! count, cumulative allocated bytes and freed bytes. The `lazymc` binary
+//! installs it as its `#[global_allocator]`, so the daemon's memory
+//! watermarks can read the live heap ([`live_bytes`]). Overhead is two
+//! relaxed `fetch_add`s per allocation, noise for every workload here.
 //!
 //! The counters are process-wide. [`snapshot`] + [`AllocSnapshot::delta`]
 //! bracket a region; [`tracking_enabled`] probes (with one throwaway
 //! allocation) whether this process actually installed the allocator, so
-//! harness output can say "untracked" instead of reporting zeros as fact.
+//! callers can say "untracked" instead of reporting zeros as fact.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static FREED: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// The counting allocator. Install with:
 /// `#[global_allocator] static A: CountingAlloc = CountingAlloc;`
@@ -29,11 +26,7 @@ impl CountingAlloc {
     #[inline]
     fn record_alloc(size: usize) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        let allocated = ALLOCATED.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-        // Relaxed racing against concurrent frees can transiently overshoot;
-        // saturate rather than wrap.
-        let live = allocated.saturating_sub(FREED.load(Ordering::Relaxed));
-        PEAK.fetch_max(live, Ordering::Relaxed);
+        ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
     }
 
     #[inline]
@@ -75,8 +68,6 @@ pub struct AllocSnapshot {
     pub allocs: u64,
     /// Cumulative bytes ever allocated.
     pub allocated_bytes: u64,
-    /// High-water mark of live bytes.
-    pub peak_bytes: u64,
 }
 
 /// Reads the current counters.
@@ -84,17 +75,15 @@ pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot {
         allocs: ALLOCS.load(Ordering::Relaxed),
         allocated_bytes: ALLOCATED.load(Ordering::Relaxed),
-        peak_bytes: PEAK.load(Ordering::Relaxed),
     }
 }
 
 impl AllocSnapshot {
-    /// Counters accumulated since `earlier` (peak is the absolute mark).
+    /// Counters accumulated since `earlier`.
     pub fn delta(&self, earlier: &AllocSnapshot) -> AllocSnapshot {
         AllocSnapshot {
             allocs: self.allocs - earlier.allocs,
             allocated_bytes: self.allocated_bytes - earlier.allocated_bytes,
-            peak_bytes: self.peak_bytes,
         }
     }
 }
@@ -107,17 +96,6 @@ pub fn live_bytes() -> u64 {
     ALLOCATED
         .load(Ordering::Relaxed)
         .saturating_sub(FREED.load(Ordering::Relaxed))
-}
-
-/// Resets the live-byte high-water mark to the *current* live bytes, so
-/// the next [`snapshot`] window reports the peak reached within it rather
-/// than the process-lifetime maximum. Racy against concurrent allocation
-/// (relaxed), which is fine for bracketed single-threaded measurement.
-pub fn reset_peak() {
-    let live = ALLOCATED
-        .load(Ordering::Relaxed)
-        .saturating_sub(FREED.load(Ordering::Relaxed));
-    PEAK.store(live, Ordering::Relaxed);
 }
 
 /// Whether this process routes allocations through [`CountingAlloc`]
@@ -139,17 +117,14 @@ mod tests {
         let a = AllocSnapshot {
             allocs: 10,
             allocated_bytes: 100,
-            peak_bytes: 60,
         };
         let b = AllocSnapshot {
             allocs: 14,
             allocated_bytes: 160,
-            peak_bytes: 90,
         };
         let d = b.delta(&a);
         assert_eq!(d.allocs, 4);
         assert_eq!(d.allocated_bytes, 60);
-        assert_eq!(d.peak_bytes, 90);
     }
 
     #[test]
@@ -157,5 +132,6 @@ mod tests {
         // The test binary does not install the allocator.
         assert!(!tracking_enabled());
         assert_eq!(snapshot().allocs, 0);
+        assert_eq!(live_bytes(), 0);
     }
 }

@@ -18,7 +18,10 @@
 //!   over an admission threshold.
 //! * [`LogSink`] — where structured log lines go: stdout in production,
 //!   a capture buffer in tests.
+//! * [`alloc`] — a counting global allocator; the daemon's memory
+//!   watermarks read its live-byte gauge.
 
+pub mod alloc;
 mod hist;
 mod sink;
 mod slow;

@@ -218,7 +218,7 @@ impl MemWatermarks {
     pub fn new(max_bytes: Option<u64>) -> MemWatermarks {
         MemWatermarks {
             max_bytes,
-            tracked: lazymc_bench::alloc::tracking_enabled(),
+            tracked: lazymc_obs::alloc::tracking_enabled(),
             soft_rejects: AtomicU64::new(0),
             hard_cancels: AtomicU64::new(0),
         }
@@ -235,7 +235,7 @@ impl MemWatermarks {
     }
 
     pub fn live_bytes(&self) -> u64 {
-        lazymc_bench::alloc::live_bytes()
+        lazymc_obs::alloc::live_bytes()
     }
 
     /// Soft watermark: 80 % of the configured maximum.

@@ -28,7 +28,6 @@
 //! | [`core`] | the LazyMC driver: heuristics, filtering, systematic search |
 //! | [`baselines`] | PMC-like, dOmega-like, MC-BRB-like comparators and a naive oracle |
 //! | [`mce`] | maximal clique enumeration with early-exit pivot selection |
-//! | [`roaring`] | Roaring-style compressed bitmap (alternative set backend) |
 //! | [`service`] | concurrent clique-query daemon (HTTP/1.1, graph registry, job queue) |
 
 pub use lazymc_baselines as baselines;
@@ -39,7 +38,6 @@ pub use lazymc_intersect as intersect;
 pub use lazymc_lazygraph as lazygraph;
 pub use lazymc_mce as mce;
 pub use lazymc_order as order;
-pub use lazymc_roaring as roaring;
 pub use lazymc_service as service;
 pub use lazymc_solver as solver;
 
