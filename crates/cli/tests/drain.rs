@@ -210,20 +210,32 @@ fn sigterm_drains_finishes_jobs_and_exits_zero() {
         "kill(SIGTERM) failed"
     );
 
-    // In-flight connections: /readyz flips to 503 (with Connection:
-    // close) while /healthz stays 200 and reports the phase.
-    let (status, headers, _) = ready_probe.request("GET", "/readyz", "");
-    assert_eq!(status, 503, "/readyz must refuse while draining");
-    assert!(
-        has_close(&headers),
-        "drain responses must say Connection: close, got {headers:?}"
-    );
-    let (status, _, health) = health_probe.request("GET", "/healthz", "");
+    // The daemon handles the signal asynchronously: poll /healthz on its
+    // in-flight connection until it reports the drain (bounded), and keep
+    // that response for the checks below.
+    let t = Instant::now();
+    let (status, health) = loop {
+        let (status, _, health) = health_probe.request("GET", "/healthz", "");
+        let draining = health.get("draining").and_then(Json::as_bool) == Some(true);
+        if draining || status != 200 || t.elapsed() >= Duration::from_secs(5) {
+            break (status, health);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+
+    // In-flight connections: /healthz stays 200 and reports the phase,
+    // while /readyz flips to 503 (with Connection: close).
     assert_eq!(status, 200, "/healthz stays live through the drain");
     assert_eq!(
         health.get("draining").and_then(Json::as_bool),
         Some(true),
         "healthz must report draining: {health:?}"
+    );
+    let (status, headers, _) = ready_probe.request("GET", "/readyz", "");
+    assert_eq!(status, 503, "/readyz must refuse while draining");
+    assert!(
+        has_close(&headers),
+        "drain responses must say Connection: close, got {headers:?}"
     );
 
     // The listener is gone: new connections are refused, not queued.

@@ -22,7 +22,11 @@ pub enum OrderKind {
 /// Configuration of a [`crate::LazyMc`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// Worker threads; `0` uses the process-global rayon pool as-is.
+    /// Threads one solve may use; `0` uses the whole machine. The search
+    /// runs on a scheduler pool at [`Config::sched_width`]: the caller's
+    /// (the daemon's), or else the process-wide pool with one worker per
+    /// hardware thread. The heuristics, k-core and prepopulate run on the
+    /// rayon shim at this count. `1` is the deterministic sequential solve.
     pub threads: usize,
     /// How many of the highest-degree vertices the degree-based heuristic
     /// search expands (paper Alg. 5, "top-K").
@@ -85,6 +89,11 @@ impl Default for Config {
     }
 }
 
+/// Hardware threads of this machine (1 when unknown).
+pub(crate) fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl Config {
     /// The one hard ceiling for every thread request in the system —
     /// client-supplied `threads` in the query daemon, `--threads` on the
@@ -94,11 +103,7 @@ impl Config {
     /// thread-spawn DoS; the floor of 8 keeps small machines accepting
     /// modest oversubscription (useful for tests and latency hiding).
     pub fn thread_cap() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .saturating_mul(2)
-            .max(8)
+        hardware_threads().saturating_mul(2).max(8)
     }
 
     /// Clamps a requested thread count to [`Config::thread_cap`]

@@ -128,6 +128,13 @@ impl LazyMc {
     /// publishes its current phase, work counters and incumbent size
     /// into `progress` as it runs, so an observer thread can report on
     /// a solve that has not finished. Passing `None` costs nothing.
+    ///
+    /// The systematic search runs on the process-wide scheduler pool
+    /// (created by the first solve that hands it work, one worker per
+    /// hardware thread, shared by every solve in the process) at the
+    /// configured width; `threads = 1` never touches it. The data-parallel phases —
+    /// the heuristics, k-core and prepopulate — run on the rayon shim at
+    /// the configured thread count.
     pub fn solve_prepared_observed(
         &self,
         g: &dyn GraphAccess,
@@ -150,14 +157,13 @@ impl LazyMc {
         result
     }
 
-    /// [`LazyMc::solve_prepared_observed`] running on the machine-wide
-    /// scheduler instead of a job-scoped thread team: the systematic
-    /// sweep and every intra-solve subtree split become stealable tasks
-    /// stamped with `meta` (job id, deadline, priority) on the pool
-    /// behind `handle`. No thread pool is built — the caller's thread
-    /// drives the solve and recruits pool workers through scopes, so a
-    /// `threads = 1` config touches the scheduler not at all and stays
-    /// bit-identical to the sequential kernels.
+    /// [`LazyMc::solve_prepared_observed`] on the caller's scheduler pool
+    /// instead of the process-wide one: the systematic sweep and every
+    /// intra-solve subtree split become stealable tasks stamped with
+    /// `meta` (job id, deadline, priority) on the pool behind `handle`.
+    /// The caller's thread drives the solve and recruits pool workers
+    /// through scopes, so a `threads = 1` config touches the scheduler
+    /// not at all and stays bit-identical to the sequential kernels.
     pub fn solve_prepared_on(
         &self,
         g: &dyn GraphAccess,
@@ -167,11 +173,11 @@ impl LazyMc {
         handle: &SchedHandle,
         meta: TaskMeta,
     ) -> SolveResult {
-        let sched = JobSched {
-            handle: handle.clone(),
+        let sched = JobSched::new(
+            handle.clone(),
             meta,
-            width: self.config.sched_width(handle.workers()),
-        };
+            self.config.sched_width(handle.workers()),
+        );
         let result = self.solve_inner(g, kcore, deadline, progress, Some(&sched));
         if let Some(p) = progress {
             p.set_phase(Phase::Done);
@@ -300,8 +306,15 @@ impl LazyMc {
         snapshot.m = g.num_edges();
         snapshot.lazy_built = lg.built_counts();
 
+        // The last check before the answer leaves the solver, in every
+        // build: ω(ω−1)/2 adjacency probes, next to a whole solve.
         let clique = inc.clique();
-        debug_assert!(g.is_clique(&clique));
+        assert!(
+            g.is_clique(&clique),
+            "solver answer is not a clique: ω = {}, n = {}",
+            clique.len(),
+            g.num_vertices()
+        );
         SolveResult {
             clique,
             exact: !deadline.truncated(),

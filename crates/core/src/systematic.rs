@@ -10,29 +10,32 @@
 //!    vertices first, then *may* vertices — processing all vertices of a
 //!    level in parallel; as the incumbent grows, whole levels vanish.
 //!
+//! Both passes, and every subtree split inside a neighbourhood solve, run
+//! on one `lazymc_sched` work-stealing pool: the daemon's, or for library
+//! solves the process-wide pool created on first use.
+//!
 //! Each right-neighbourhood passes three advance filters before any
 //! detailed search (Alg. 8): a coreness filter, then two rounds of
 //! induced-degree filtering via `intersect-size-gt-bool`/`-val`. Only a few
 //! neighbourhoods in a thousand survive (paper Table III); survivors are
 //! solved by direct MC or by k-VC on the complement, chosen by density.
 
-use crate::config::Config;
+use crate::config::{hardware_threads, Config};
 use crate::incumbent::Incumbent;
 use crate::metrics::Counters;
 use lazymc_graph::VertexId;
 use lazymc_hopscotch::HopscotchSet;
 use lazymc_intersect::{intersect_size_gt_bool, intersect_size_gt_val, intersect_size_plain};
 use lazymc_lazygraph::LazyGraph;
-use lazymc_sched::{SchedHandle, TaskMeta};
+use lazymc_sched::{Pool as SchedPool, SchedHandle, TaskMeta};
 use lazymc_solver::bitset::{BitMatrix, Bitset};
 use lazymc_solver::scratch::{Pool, SolverScratch};
 use lazymc_solver::{
-    max_clique_dense_par_live, max_clique_dense_sched_live, max_clique_dense_scratch_live,
-    max_clique_via_vc_par_live, max_clique_via_vc_sched_live, max_clique_via_vc_scratch_live,
-    LiveNodes, McStats, VcStats,
+    max_clique_dense_sched, max_clique_dense_scratch, max_clique_via_vc_sched,
+    max_clique_via_vc_scratch, LiveNodes, McStats, VcStats,
 };
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-worker reusable buffers for one neighbourhood search: the filter
@@ -150,20 +153,59 @@ impl Deadline {
     }
 }
 
-/// Binding of one solve to the machine-wide scheduler: the pool handle,
-/// the identity/urgency metadata every subtree task of the job carries
-/// (so stolen subtrees keep their job's deadline and priority wherever
-/// they run), and the job's nominal width — the helper count one scope
-/// may recruit, from [`Config::sched_width`], not a reserved share:
-/// actual parallelism is whatever the pool has spare at claim time.
+/// Binding of one solve to a scheduler pool: the pool, the
+/// identity/urgency metadata every subtree task of the job carries (so
+/// stolen subtrees keep their job's deadline and priority wherever they
+/// run), and the job's nominal width — the helper count one scope may
+/// recruit, from [`Config::sched_width`], not a reserved share: actual
+/// parallelism is whatever the pool has spare at claim time.
 #[derive(Clone)]
 pub struct JobSched {
-    /// Handle onto the machine-wide work-stealing pool.
-    pub handle: SchedHandle,
+    /// The pool to run on; `None` is the process-wide pool.
+    pool: Option<SchedHandle>,
     /// Identity + urgency stamped on every task this solve submits.
     pub meta: TaskMeta,
     /// Nominal intra-solve width (≥ 1); `1` never submits tasks at all.
     pub width: usize,
+}
+
+impl JobSched {
+    /// A solve on the pool behind `handle`.
+    pub fn new(handle: SchedHandle, meta: TaskMeta, width: usize) -> Self {
+        JobSched {
+            pool: Some(handle),
+            meta,
+            width,
+        }
+    }
+
+    /// A solve that brings no pool of its own (the library and the CLI):
+    /// the process-wide pool, at `cfg`'s width on one worker per hardware
+    /// thread.
+    pub(crate) fn process_wide(cfg: &Config) -> Self {
+        JobSched {
+            pool: None,
+            meta: TaskMeta::adhoc(),
+            width: cfg.sched_width(hardware_threads()),
+        }
+    }
+
+    /// The pool's handle. Only widths above 1 ask for it, so a sequential
+    /// solve never creates the process-wide pool or touches any pool.
+    fn handle(&self) -> SchedHandle {
+        match &self.pool {
+            Some(h) => h.clone(),
+            None => process_pool().handle(),
+        }
+    }
+}
+
+/// The process-wide pool, created on first use with one worker per
+/// hardware thread and shared by every later solve. It is never shut
+/// down; idle workers park.
+fn process_pool() -> &'static SchedPool {
+    static POOL: OnceLock<SchedPool> = OnceLock::new();
+    POOL.get_or_init(|| SchedPool::new(hardware_threads()))
 }
 
 /// Shared context of one systematic sweep, handed to every neighbourhood
@@ -176,59 +218,44 @@ pub struct SearchCtx<'a> {
     pub counters: &'a Counters,
     pub deadline: &'a Deadline,
     /// Threads the detailed subgraph search of this call may use. `1`
-    /// runs the deterministic sequential kernels (today's exact code
-    /// path); above that, the dense MC and k-VC solvers split their top
-    /// branch levels into subtree tasks sharing one incumbent.
+    /// runs the deterministic sequential kernels; above that, the dense
+    /// MC and k-VC solvers split their top branch levels into subtree
+    /// tasks on `sched`'s pool, sharing one incumbent.
     pub solver_threads: usize,
-    /// When set, subtree tasks go to the machine-wide scheduler instead
-    /// of a job-scoped thread team, and the sweep itself becomes a
-    /// stealable scope on the same pool.
-    pub sched: Option<&'a JobSched>,
+    /// The pool the sweep and the subtree splits run on.
+    pub sched: &'a JobSched,
 }
 
-/// Runs `f` over `items`, split into at most `workers` contiguous chunks
-/// executed in parallel. The second argument handed to `f` is the
-/// intra-solve thread budget: when a phase has fewer pending vertices
-/// than workers, vertex-level parallelism cannot keep the crew busy, so
-/// the spare threads are pushed *inside* each subgraph solve
+/// Runs `f` over `items`: inline at width 1 or for a single item, else as
+/// the units of one scope on the solve's pool with up to `width − 1`
+/// helpers. The second argument handed to
+/// `f` is the intra-solve thread budget: when a phase has fewer pending
+/// vertices than workers, vertex-level parallelism cannot keep the crew
+/// busy, so the spare threads are pushed *inside* each subgraph solve
 /// (subtree-level splitting); otherwise solves stay sequential inside
 /// and the vertices themselves fan out. This is the "split only when
 /// fewer pending vertices than idle workers" rule.
-fn sweep_parallel(
-    items: Vec<VertexId>,
-    workers: usize,
-    sched: Option<&JobSched>,
-    f: impl Fn(VertexId, usize) + Sync,
-) {
+fn sweep_parallel(items: &[VertexId], js: &JobSched, f: impl Fn(VertexId, usize) + Sync) {
     let pending = items.len();
     if pending == 0 {
         return;
     }
+    let workers = js.width.max(1);
     let inner = if pending < workers {
         (workers / pending).max(1)
     } else {
         1
     };
     if workers <= 1 || pending == 1 {
-        for v in items {
+        for &v in items {
             f(v, inner);
         }
         return;
     }
-    if let Some(js) = sched {
-        // The level's vertices become claimable units of one scope on the
-        // machine-wide pool: idle workers of *any* job steal them, and the
-        // scope owner claims alongside, so a level never waits on pool
-        // capacity — `threads = 1` capacity degenerates to the loop above.
-        js.handle
-            .scope(js.meta, workers - 1, pending, &|_sc, i| f(items[i], inner));
-        return;
-    }
-    // `for_each` distributes the items itself (the vendored shim chunks
-    // into at most `workers` contiguous runs; real rayon would add work
-    // stealing on top). The inner budget is uniform across the phase, so
-    // it rides along by value.
-    items.into_par_iter().for_each(|v| f(v, inner));
+    // Idle workers of *any* job steal the level's vertices, and the scope
+    // owner claims alongside, so a level never waits on pool capacity.
+    js.handle()
+        .scope(js.meta, workers - 1, pending, &|_sc, i| f(items[i], inner));
 }
 
 /// Runs the systematic search (paper Algorithm 7).
@@ -244,10 +271,11 @@ pub fn systematic_search(
     systematic_search_on(lg, levels, degeneracy, cfg, inc, counters, deadline, None)
 }
 
-/// [`systematic_search`] bound to the machine-wide scheduler: both the
-/// level sweeps and the intra-solve subtree splits run as stealable
-/// tasks carrying the job's deadline and priority. `None` keeps the
-/// job-scoped rayon path.
+/// [`systematic_search`] bound to a scheduler pool: both the level sweeps
+/// and the intra-solve subtree splits run as stealable tasks carrying the
+/// job's deadline and priority. `None` runs on the process-wide pool,
+/// created on first use with one worker per hardware thread, at
+/// `cfg.sched_width` of that size.
 #[allow(clippy::too_many_arguments)]
 pub fn systematic_search_on(
     lg: &LazyGraph<'_>,
@@ -260,11 +288,13 @@ pub fn systematic_search_on(
     sched: Option<&JobSched>,
 ) {
     let deg = degeneracy as usize;
-    // Capacity is a property of the pool the job runs on, queried here —
-    // not a static per-job share.
-    let workers = match sched {
-        Some(js) => js.width.max(1),
-        None => rayon::current_num_threads().max(1),
+    let process_wide;
+    let sched = match sched {
+        Some(js) => js,
+        None => {
+            process_wide = JobSched::process_wide(cfg);
+            &process_wide
+        }
     };
     // Phase 1: one probe per degeneracy level, from the incumbent level up.
     // Probed vertices are remembered so the main sweep does not search the
@@ -287,7 +317,7 @@ pub fn systematic_search_on(
                 })
             })
             .collect();
-        sweep_parallel(probes, workers, sched, |v, inner| {
+        sweep_parallel(&probes, sched, |v, inner| {
             if !deadline.should_skip() {
                 let ctx = SearchCtx {
                     cfg,
@@ -311,7 +341,7 @@ pub fn systematic_search_on(
         let vs: Vec<VertexId> = (start..end)
             .filter(|&v| probed.is_empty() || !probed[v as usize].load(Ordering::Relaxed))
             .collect();
-        sweep_parallel(vs, workers, sched, |v, inner| {
+        sweep_parallel(&vs, sched, |v, inner| {
             // Re-check against the *current* incumbent: it may have grown
             // since the level test.
             if (lg.coreness(v) as usize) >= inc.size() && !deadline.should_skip() {
@@ -459,11 +489,11 @@ fn neighbor_search_scratch(
     let lb = cstar.saturating_sub(1);
     // Intra-solve thread budget: 1 runs the deterministic sequential
     // kernels; above that, the engines split their top branch levels into
-    // subtree tasks against a shared incumbent.
+    // subtree tasks on the pool, against a shared incumbent.
     let threads = solver_threads.max(1);
-    // Scheduler-run solves poll this once per claimed subtree task, so a
-    // deadline trip or cancellation drains every stolen subtree of the
-    // job wherever it is executing.
+    // Split solves poll this once per claimed subtree task, so a deadline
+    // trip or cancellation drains every stolen subtree of the job wherever
+    // it is executing.
     let stop = || deadline.should_skip();
     let stop: Option<lazymc_solver::StopFn<'_>> = Some(&stop);
     let t1 = Instant::now();
@@ -477,79 +507,33 @@ fn neighbor_search_scratch(
         let live = LiveNodes::new(&counters.vc_nodes);
         // The k-VC engine works on whole matrices; compact when the
         // reduction removed vertices.
-        let r = if scr.within.len() < nn {
+        let compacted = scr.within.len() < nn;
+        if compacted {
             compact_matrix_into(adj, &scr.within, &mut scr.small, &mut scr.map);
-            let found = match sched {
-                Some(js) if threads > 1 => max_clique_via_vc_sched_live(
-                    &scr.small,
-                    lb,
-                    &js.handle,
-                    js.meta,
-                    threads,
-                    stop,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ if threads > 1 => max_clique_via_vc_par_live(
-                    &scr.small,
-                    lb,
-                    threads,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ => max_clique_via_vc_scratch_live(
-                    &scr.small,
-                    lb,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-            };
-            if found {
-                // translate compacted indices back to positions in n3
-                for i in clique.iter_mut() {
-                    *i = scr.map[*i as usize];
-                }
-            }
-            found
+        }
+        let vc_adj = if compacted { &scr.small } else { adj };
+        let r = if threads > 1 {
+            max_clique_via_vc_sched(
+                vc_adj,
+                lb,
+                &sched.handle(),
+                sched.meta,
+                threads,
+                stop,
+                Some(&mut st),
+                &mut scr.solver.vc,
+                clique,
+                live,
+            )
         } else {
-            match sched {
-                Some(js) if threads > 1 => max_clique_via_vc_sched_live(
-                    adj,
-                    lb,
-                    &js.handle,
-                    js.meta,
-                    threads,
-                    stop,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ if threads > 1 => max_clique_via_vc_par_live(
-                    adj,
-                    lb,
-                    threads,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ => max_clique_via_vc_scratch_live(
-                    adj,
-                    lb,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-            }
+            max_clique_via_vc_scratch(vc_adj, lb, Some(&mut st), &mut scr.solver.vc, clique, live)
         };
+        if r && compacted {
+            // translate compacted indices back to positions in n3
+            for i in clique.iter_mut() {
+                *i = scr.map[*i as usize];
+            }
+        }
         counters.add(&counters.vc_nodes, st.nodes - st.sampled);
         counters.add(&counters.vc_reductions, st.reductions);
         counters.add(&counters.split_tasks, st.split_tasks);
@@ -561,29 +545,21 @@ fn neighbor_search_scratch(
         counters.add(&counters.searched_mc, 1);
         let mut st = McStats::default();
         let live = LiveNodes::new(&counters.mc_nodes);
-        let r = match sched {
-            Some(js) if threads > 1 => max_clique_dense_sched_live(
+        let r = if threads > 1 {
+            max_clique_dense_sched(
                 adj,
                 &scr.within,
                 lb,
-                &js.handle,
-                js.meta,
+                &sched.handle(),
+                sched.meta,
                 threads,
                 stop,
                 Some(&mut st),
                 clique,
                 live,
-            ),
-            _ if threads > 1 => max_clique_dense_par_live(
-                adj,
-                &scr.within,
-                lb,
-                threads,
-                Some(&mut st),
-                clique,
-                live,
-            ),
-            _ => max_clique_dense_scratch_live(
+            )
+        } else {
+            max_clique_dense_scratch(
                 adj,
                 &scr.within,
                 lb,
@@ -591,7 +567,7 @@ fn neighbor_search_scratch(
                 &mut scr.solver.mc,
                 clique,
                 live,
-            ),
+            )
         };
         counters.add(&counters.mc_nodes, st.nodes - st.sampled);
         counters.add(&counters.split_tasks, st.split_tasks);
@@ -920,57 +896,17 @@ mod tests {
     }
 
     #[test]
-    fn intra_solve_parallelism_splits_and_agrees() {
+    fn sched_driven_sweep_splits_and_agrees() {
         // Dense G(n,p): filtered neighbourhoods are large enough to split.
         // Searching every right-neighbourhood with an intra-solve budget of
-        // 4 threads must (a) reach ω — every clique has a least vertex in
-        // the order, whose right-neighbourhood holds the rest — and
-        // (b) actually exercise the work-splitting driver.
-        let g = gen::gnp(100, 0.6, 42);
-        let expected = crate::solve(&g).size();
-        let kc = kcore_sequential(&g);
-        let ord = coreness_degree_order(&g, &kc.coreness);
-        let inc = Incumbent::new();
-        let (u, v) = g.edges().next().unwrap();
-        inc.offer(&[u, v]);
-        let f = fixture(&g, &ord, &kc.coreness, kc.degeneracy, &inc);
-        let counters = Counters::default();
-        let cfg = Config::default();
-        let deadline = Deadline::none();
-        for v in 0..g.num_vertices() as u32 {
-            let ctx = SearchCtx {
-                cfg: &cfg,
-                inc: &inc,
-                counters: &counters,
-                deadline: &deadline,
-                solver_threads: 4,
-                sched: None,
-            };
-            neighbor_search(&f.lg, v, &ctx);
-        }
-        assert_eq!(inc.size(), expected, "parallel search must not change ω");
-        assert!(g.is_clique(&inc.clique()));
-        let snap = crate::metrics::snapshot_counters(&counters);
-        assert!(
-            snap.split_tasks > 0,
-            "dense neighbourhoods at 4 threads must generate subtree tasks"
-        );
-    }
-
-    #[test]
-    fn sched_driven_sweep_splits_and_agrees() {
-        // The same dense instance, but with the sweep and the subtree
-        // splits running as stealable tasks on a shared pool instead of a
-        // job-scoped rayon team: ω must match, and the subtree drivers
-        // must actually engage (split tasks recorded).
+        // 4 threads on a shared pool must (a) reach ω — every clique has a
+        // least vertex in the order, whose right-neighbourhood holds the
+        // rest — and (b) actually engage the subtree drivers (split tasks
+        // recorded).
         let g = gen::gnp(100, 0.6, 42);
         let expected = crate::solve(&g).size();
         let pool = lazymc_sched::Pool::new(3);
-        let js = JobSched {
-            handle: pool.handle(),
-            meta: lazymc_sched::TaskMeta::adhoc(),
-            width: 4,
-        };
+        let js = JobSched::new(pool.handle(), lazymc_sched::TaskMeta::adhoc(), 4);
         let kc = kcore_sequential(&g);
         let ord = coreness_degree_order(&g, &kc.coreness);
         let inc = Incumbent::new();
@@ -987,7 +923,7 @@ mod tests {
                 counters: &counters,
                 deadline: &deadline,
                 solver_threads: 4,
-                sched: Some(&js),
+                sched: &js,
             };
             neighbor_search(&f.lg, v, &ctx);
         }
@@ -1003,15 +939,11 @@ mod tests {
     #[test]
     fn sched_full_sweep_matches_plain() {
         // systematic_search_on with a pool binding: whole levels fan out
-        // as scope units; ω matches the rayon path.
+        // as scope units; ω matches the process-wide pool's answer.
         let g = gen::dense_overlap(120, 15, 8, 14, 0.15, 9);
         let expected = solve_systematic(&g);
         let pool = lazymc_sched::Pool::new(2);
-        let js = JobSched {
-            handle: pool.handle(),
-            meta: lazymc_sched::TaskMeta::adhoc(),
-            width: 3,
-        };
+        let js = JobSched::new(pool.handle(), lazymc_sched::TaskMeta::adhoc(), 3);
         let kc = kcore_sequential(&g);
         let ord = coreness_degree_order(&g, &kc.coreness);
         let inc = Incumbent::new();
@@ -1048,6 +980,7 @@ mod tests {
             let counters = Counters::default();
             let cfg = Config::default();
             let deadline = Deadline::none();
+            let js = JobSched::process_wide(&Config::sequential());
             for v in 0..g.num_vertices() as u32 {
                 let ctx = SearchCtx {
                     cfg: &cfg,
@@ -1055,7 +988,7 @@ mod tests {
                     counters: &counters,
                     deadline: &deadline,
                     solver_threads: 1,
-                    sched: None,
+                    sched: &js,
                 };
                 neighbor_search(&f.lg, v, &ctx);
             }

@@ -14,6 +14,16 @@
 //! representation appropriate for subgraphs whose density routinely exceeds
 //! 50% (paper §III-D). The same engines back the dOmega-like baseline.
 //!
+//! Each engine has one entry point per driver, and each takes a
+//! [`LiveNodes`] sink for mid-search progress:
+//!
+//! * `_scratch` — the deterministic sequential kernel on a caller-owned
+//!   arena (allocation-free once warm);
+//! * `_sched` — the same search with its top branch levels split into
+//!   subtree tasks on a [`lazymc_sched`] pool, sharing one incumbent
+//!   ([`SharedBest`]) or abort flag ([`SearchAbort`]). The solver spawns
+//!   no threads of its own, and width 1 is the scratch kernel.
+//!
 //! ```
 //! use lazymc_solver::{BitMatrix, max_clique_exact, max_clique_via_vc};
 //!
@@ -41,18 +51,14 @@ pub use bitset::{BitMatrix, Bitset};
 pub use coloring::{color_order, color_order_scratch, greedy_color_count, ColorScratch};
 pub use live::LiveNodes;
 pub use mc::{
-    max_clique_dense, max_clique_dense_par, max_clique_dense_par_live, max_clique_dense_sched,
-    max_clique_dense_sched_live, max_clique_dense_scratch, max_clique_dense_scratch_live,
-    max_clique_dense_subtree, max_clique_dense_within, max_clique_exact, reduce_candidates,
-    McScratch, McStats,
+    max_clique_dense, max_clique_dense_sched, max_clique_dense_scratch, max_clique_dense_subtree,
+    max_clique_dense_within, max_clique_exact, reduce_candidates, McScratch, McStats,
 };
 pub use par::{SearchAbort, SharedBest, StopFn};
 pub use scratch::Pool;
 pub use vc::{
-    max_clique_via_vc, max_clique_via_vc_par, max_clique_via_vc_par_live,
-    max_clique_via_vc_sched_live, max_clique_via_vc_scratch, max_clique_via_vc_scratch_live,
-    min_vertex_cover, vertex_cover_decision, vertex_cover_decision_abortable,
-    vertex_cover_decision_par, vertex_cover_decision_sched, vertex_cover_decision_sched_live,
+    max_clique_via_vc, max_clique_via_vc_sched, max_clique_via_vc_scratch, min_vertex_cover,
+    vertex_cover_decision, vertex_cover_decision_abortable, vertex_cover_decision_sched,
     vertex_cover_decision_scratch, vertex_cover_decision_within, VcSchedDecision, VcScratch,
     VcSolveScratch, VcStats,
 };
@@ -60,6 +66,15 @@ pub use vc::{
 #[cfg(test)]
 pub(crate) mod test_util {
     use crate::bitset::BitMatrix;
+    use lazymc_sched::{Pool, SchedHandle};
+    use std::sync::OnceLock;
+
+    /// One 4-worker scheduler pool shared by every in-crate test, as the
+    /// deployment shares one pool between solves.
+    pub(crate) fn test_pool() -> SchedHandle {
+        static POOL: OnceLock<Pool> = OnceLock::new();
+        POOL.get_or_init(|| Pool::new(4)).handle()
+    }
 
     /// Deterministic pseudo-random graph (xorshift64*), densities in
     /// permille — the shared fixture generator of the in-crate tests.

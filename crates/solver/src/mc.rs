@@ -20,7 +20,6 @@ use crate::live::LiveNodes;
 use crate::par::{SharedBest, StopFn};
 use crate::scratch::Pool;
 use lazymc_sched::{SchedHandle, Scope, TaskMeta};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Search statistics, used by the work-accounting figures.
@@ -221,23 +220,10 @@ impl<L: IncumbentLink> Searcher<'_, L> {
 /// induced by `within` *if it is larger than `lb`*, writing the witness
 /// into `out` and returning whether one was found. `out` is cleared either
 /// way. With a warm `scratch` (and `out` at capacity), the search performs
-/// no heap allocation at all.
+/// no heap allocation at all. The search drains its node count into `live`
+/// every few thousand expansions so an observer can watch a long solve
+/// move; `LiveNodes::NONE` observes nothing.
 pub fn max_clique_dense_scratch(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    stats: Option<&mut McStats>,
-    scratch: &mut McScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    max_clique_dense_scratch_live(adj, within, lb, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`max_clique_dense_scratch`] with a live node-count sink: the search
-/// drains its node count into `live` every few thousand expansions so an
-/// observer can watch a long solve move. `LiveNodes::NONE` is exactly
-/// the plain kernel.
-pub fn max_clique_dense_scratch_live(
     adj: &BitMatrix,
     within: &Bitset,
     lb: usize,
@@ -284,21 +270,9 @@ pub fn max_clique_dense_scratch_live(
 /// publishes improvements through `shared` the instant they are found.
 /// With a warm `scratch` this performs no heap allocation (the per-worker
 /// steady state the zero-alloc tests pin down); the witness of any
-/// improvement lives in `shared`, not in a return value.
+/// improvement lives in `shared`, not in a return value. Node counts are
+/// sampled into `live` as in [`max_clique_dense_scratch`].
 pub fn max_clique_dense_subtree(
-    adj: &BitMatrix,
-    cand: &Bitset,
-    prefix: &[u32],
-    shared: &SharedBest,
-    stats: Option<&mut McStats>,
-    scratch: &mut McScratch,
-) {
-    max_clique_dense_subtree_live(adj, cand, prefix, shared, stats, scratch, LiveNodes::NONE)
-}
-
-/// [`max_clique_dense_subtree`] with a live node-count sink (see
-/// [`max_clique_dense_scratch_live`]).
-pub fn max_clique_dense_subtree_live(
     adj: &BitMatrix,
     cand: &Bitset,
     prefix: &[u32],
@@ -335,11 +309,11 @@ pub fn max_clique_dense_subtree_live(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel work-splitting driver
+// Work-splitting driver on the machine-wide scheduler
 // ---------------------------------------------------------------------------
 
 /// Below this many candidates a parallel solve is not worth splitting:
-/// the subtree tasks would be cheaper than the scoped-thread spawns.
+/// the subtree tasks would cost more to generate and claim than to run.
 const SPLIT_MIN_VERTICES: usize = 32;
 
 /// One branch-prefix subtree task: up to two chosen vertices plus the
@@ -498,155 +472,12 @@ fn gen_mc_tasks(
     live
 }
 
-/// Parallel maximum clique of the subgraph induced by `within`, if larger
-/// than `lb`: the top one/two levels of the branch-and-bound tree are
-/// split into independent subtree tasks executed by `threads` scoped
-/// workers that share one incumbent ([`SharedBest`]) — an improvement
-/// found on any thread immediately shrinks every other worker's tree.
-///
-/// Falls back to the (deterministic) sequential kernel when `threads <= 1`
-/// or the candidate set is too small to be worth splitting; worker arenas
-/// and the task buffers come from static pools, so repeated solves reach
-/// the same zero-steady-state-allocation regime as the sequential path
-/// (each worker's inner loop allocates nothing once warm). Node counts at
-/// `threads > 1` depend on scheduling; the *result* does not.
-pub fn max_clique_dense_par(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut McStats>,
-    out: &mut Vec<u32>,
-) -> bool {
-    max_clique_dense_par_live(adj, within, lb, threads, stats, out, LiveNodes::NONE)
-}
-
-/// [`max_clique_dense_par`] with a live node-count sink shared by every
-/// worker (see [`max_clique_dense_scratch_live`]).
-pub fn max_clique_dense_par_live(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut McStats>,
-    out: &mut Vec<u32>,
-    sink: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if adj.is_empty() || within.len() <= lb {
-        return false;
-    }
-    if threads <= 1 || within.len() < SPLIT_MIN_VERTICES {
-        return MC_WORKER
-            .with(|scr| max_clique_dense_scratch_live(adj, within, lb, stats, scr, out, sink));
-    }
-    let shared = SharedBest::with_floor(lb);
-    // Publications of any clique this subgraph can produce must not
-    // allocate (per-worker steady state).
-    shared.reserve(within.len());
-    let mut local = McStats::default();
-    MC_SPLIT.with(|split| {
-        let live = gen_mc_tasks(adj, within, threads, &shared, split, &mut local);
-        local.split_tasks += live as u64;
-        if live == 0 {
-            return;
-        }
-        // --- Execution: scoped workers claim tasks from a shared queue ---
-        let tasks = &split.tasks[..live];
-        let next = AtomicUsize::new(0);
-        let crew = threads.min(live);
-        std::thread::scope(|s| {
-            let shared = &shared;
-            let next = &next;
-            let handles: Vec<_> = (1..crew)
-                .map(|_| s.spawn(move || mc_worker(adj, tasks, next, shared, false, sink)))
-                .collect();
-            local.merge(&mc_worker(adj, tasks, next, shared, true, sink));
-            for h in handles {
-                local.merge(&h.join().expect("mc worker panicked"));
-            }
-        });
-    });
-    local.incumbent_broadcasts += shared.broadcasts();
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    shared.clique_into(out)
-}
-
-/// One worker of a parallel MC solve: claims tasks off the shared queue
-/// until it drains, skipping (unopened) any task whose generation-time
-/// bound no longer beats the shared incumbent.
-fn mc_worker(
-    adj: &BitMatrix,
-    tasks: &[McTask],
-    next: &AtomicUsize,
-    shared: &SharedBest,
-    is_generator: bool,
-    live: LiveNodes<'_>,
-) -> McStats {
-    let mut stats = McStats::default();
-    let mut scratch = MC_WORKER.take();
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(t) = tasks.get(i) else { break };
-        if t.ub as usize <= shared.size() {
-            continue; // another worker's incumbent pruned this subtree
-        }
-        if !is_generator {
-            stats.steals += 1; // counted only for tasks actually executed
-        }
-        max_clique_dense_subtree_live(
-            adj,
-            &t.cand,
-            &t.prefix[..t.plen as usize],
-            shared,
-            Some(&mut stats),
-            &mut scratch,
-            live,
-        );
-    }
-    MC_WORKER.put(scratch);
-    stats
-}
-
-// ---------------------------------------------------------------------------
-// Machine-wide scheduler driver
-// ---------------------------------------------------------------------------
-
 /// Task arena of one scheduler-run MC solve: scope unit `i` owns slot `i`.
 /// Re-splits append new slots under the lock and publish the indices to
 /// the scope, so subtree tasks stay resubmittable mid-solve.
 struct McArena {
     tasks: Vec<McTask>,
     live: usize,
-}
-
-/// [`max_clique_dense_sched_live`] without a live sink.
-#[allow(clippy::too_many_arguments)]
-pub fn max_clique_dense_sched(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut McStats>,
-    out: &mut Vec<u32>,
-) -> bool {
-    max_clique_dense_sched_live(
-        adj,
-        within,
-        lb,
-        sched,
-        meta,
-        width,
-        should_stop,
-        stats,
-        out,
-        LiveNodes::NONE,
-    )
 }
 
 /// Maximum clique of the subgraph induced by `within` (if larger than
@@ -658,10 +489,11 @@ pub fn max_clique_dense_sched(
 /// halts every stolen subtree mid-search via the shared incumbent's halt
 /// flag.
 ///
-/// `width <= 1` runs the bit-identical sequential kernel, exactly like
-/// the scoped-thread driver.
+/// `width <= 1` runs the bit-identical sequential kernel and never
+/// touches the scheduler. Node counts above that depend on scheduling;
+/// the *result* does not.
 #[allow(clippy::too_many_arguments)]
-pub fn max_clique_dense_sched_live(
+pub fn max_clique_dense_sched(
     adj: &BitMatrix,
     within: &Bitset,
     lb: usize,
@@ -679,7 +511,7 @@ pub fn max_clique_dense_sched_live(
     }
     if width <= 1 || within.len() < SPLIT_MIN_VERTICES {
         return MC_WORKER
-            .with(|scr| max_clique_dense_scratch_live(adj, within, lb, stats, scr, out, sink));
+            .with(|scr| max_clique_dense_scratch(adj, within, lb, stats, scr, out, sink));
     }
     let shared = SharedBest::with_floor(lb);
     shared.reserve(within.len());
@@ -742,7 +574,7 @@ fn mc_sched_unit(
                 resplit_mc_task(adj, arena, &t, shared, sc, &mut stats);
             } else {
                 let mut scratch = MC_WORKER.take();
-                max_clique_dense_subtree_live(
+                max_clique_dense_subtree(
                     adj,
                     &t.cand,
                     &t.prefix[..t.plen as usize],
@@ -838,7 +670,16 @@ pub fn max_clique_dense_within(
 ) -> Option<Vec<u32>> {
     let mut scratch = McScratch::default();
     let mut out = Vec::new();
-    max_clique_dense_scratch(adj, within, lb, stats, &mut scratch, &mut out).then_some(out)
+    max_clique_dense_scratch(
+        adj,
+        within,
+        lb,
+        stats,
+        &mut scratch,
+        &mut out,
+        LiveNodes::NONE,
+    )
+    .then_some(out)
 }
 
 /// Iterated degree reduction within a candidate set: removes every vertex
@@ -985,6 +826,7 @@ mod tests {
                 None,
                 &mut scratch,
                 &mut out,
+                LiveNodes::NONE,
             );
             assert!(found);
             assert_eq!(out.len(), *omega);
@@ -998,12 +840,35 @@ mod tests {
             4,
             None,
             &mut scratch,
-            &mut out
+            &mut out,
+            LiveNodes::NONE,
         ));
         assert!(out.is_empty());
     }
 
-    use crate::test_util::pseudo_graph as pseudo_dense;
+    use crate::test_util::{pseudo_graph as pseudo_dense, test_pool};
+
+    /// The scheduler driver at `width` on the shared test pool.
+    fn dense_sched(
+        m: &BitMatrix,
+        lb: usize,
+        width: usize,
+        stats: Option<&mut McStats>,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        max_clique_dense_sched(
+            m,
+            &Bitset::full(m.len()),
+            lb,
+            &test_pool(),
+            TaskMeta::adhoc(),
+            width,
+            None,
+            stats,
+            out,
+            LiveNodes::NONE,
+        )
+    }
 
     #[test]
     fn parallel_matches_sequential() {
@@ -1013,8 +878,7 @@ mod tests {
             for threads in [2, 4, 8] {
                 let mut out = Vec::new();
                 let mut st = McStats::default();
-                let found =
-                    max_clique_dense_par(&m, &Bitset::full(n), 0, threads, Some(&mut st), &mut out);
+                let found = dense_sched(&m, 0, threads, Some(&mut st), &mut out);
                 assert!(found, "n={n} threads={threads}");
                 assert_eq!(out.len(), expect.len(), "n={n} threads={threads}");
                 assert!(m.is_clique(&out));
@@ -1029,23 +893,9 @@ mod tests {
         let m = pseudo_dense(64, 500, 5);
         let omega = max_clique_exact(&m).len();
         let mut out = Vec::new();
-        assert!(!max_clique_dense_par(
-            &m,
-            &Bitset::full(64),
-            omega,
-            4,
-            None,
-            &mut out
-        ));
+        assert!(!dense_sched(&m, omega, 4, None, &mut out));
         assert!(out.is_empty());
-        assert!(max_clique_dense_par(
-            &m,
-            &Bitset::full(64),
-            omega - 1,
-            4,
-            None,
-            &mut out
-        ));
+        assert!(dense_sched(&m, omega - 1, 4, None, &mut out));
         assert_eq!(out.len(), omega);
     }
 
@@ -1058,14 +908,7 @@ mod tests {
         let expect = max_clique_dense(&m, 0, Some(&mut seq)).unwrap();
         let mut out = Vec::new();
         let mut par = McStats::default();
-        assert!(max_clique_dense_par(
-            &m,
-            &Bitset::full(20),
-            0,
-            8,
-            Some(&mut par),
-            &mut out
-        ));
+        assert!(dense_sched(&m, 0, 8, Some(&mut par), &mut out));
         assert_eq!(out.len(), expect.len());
         assert_eq!(par.nodes, seq.nodes, "fallback must be the exact kernel");
         assert_eq!(par.split_tasks, 0);
@@ -1079,7 +922,15 @@ mod tests {
         let mut scratch = McScratch::new();
         // A task rooted at the empty prefix over the full candidate set is
         // the whole search: the shared incumbent must end at ω.
-        max_clique_dense_subtree(&m, &Bitset::full(40), &[], &shared, None, &mut scratch);
+        max_clique_dense_subtree(
+            &m,
+            &Bitset::full(40),
+            &[],
+            &shared,
+            None,
+            &mut scratch,
+            LiveNodes::NONE,
+        );
         assert_eq!(shared.size(), omega);
         let mut out = Vec::new();
         assert!(shared.clique_into(&mut out));

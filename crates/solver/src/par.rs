@@ -16,11 +16,11 @@
 //!   triggers the flag and every other worker's subtree terminates at its
 //!   next node.
 //!
-//! Both are deliberately tiny: the split drivers in `mc`/`vc` own the task
-//! queues (a claim-by-index atomic over a pooled task arena — tasks are
-//! generated once per solve, so a lock-free deque would be ceremony), and
-//! the sequential kernels stay byte-identical via zero-sized link types
-//! that monomorphize the sharing away (`threads = 1` *is* today's code).
+//! Both are deliberately tiny: the split drivers in `mc`/`vc` keep their
+//! tasks in a pooled arena whose slots are claimed as units of one
+//! `lazymc_sched` scope, and the sequential kernels stay byte-identical
+//! via zero-sized link types that monomorphize the sharing away
+//! (`threads = 1` *is* the sequential code).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -10,8 +10,9 @@
 //!
 //! The pool is a mutex around a stack of boxes. One lock round-trip per
 //! neighbourhood solve is noise next to the solve itself, and a stack (as
-//! opposed to per-thread storage) keeps warm arenas alive across the
-//! short-lived scoped threads the vendored rayon shim spawns per phase.
+//! opposed to per-thread storage) lets any scheduler worker pick up the
+//! arena another worker warmed, so a solve's first claims on a fresh
+//! worker do not start cold.
 
 use std::sync::Mutex;
 

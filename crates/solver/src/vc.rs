@@ -24,7 +24,7 @@ use crate::live::LiveNodes;
 use crate::par::{SearchAbort, StopFn};
 use crate::scratch::Pool;
 use lazymc_sched::{SchedHandle, Scope, TaskMeta};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Search statistics for work accounting.
@@ -130,22 +130,9 @@ impl VcSolveScratch {
 
 /// Scratch-arena decision: cover of size ≤ `k` for `adj` restricted to
 /// `alive`. On success the cover is written to `out` (cleared either way)
-/// and `true` is returned.
+/// and `true` is returned. Node counts are sampled into `live` as in
+/// `max_clique_dense_scratch`; `LiveNodes::NONE` observes nothing.
 pub fn vertex_cover_decision_scratch(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    vertex_cover_decision_scratch_live(adj, alive, k, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`vertex_cover_decision_scratch`] with a live node-count sink (see
-/// `max_clique_dense_scratch_live`). `LiveNodes::NONE` is exactly the
-/// plain kernel.
-pub fn vertex_cover_decision_scratch_live(
     adj: &BitMatrix,
     alive: &Bitset,
     k: usize,
@@ -185,22 +172,8 @@ pub fn vertex_cover_decision_scratch_live(
 /// found a cover and this subtree was abandoned mid-search. With a warm
 /// `scratch` this performs no heap allocation (the per-worker steady
 /// state the zero-alloc tests pin down).
-pub fn vertex_cover_decision_abortable(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    abort: &SearchAbort,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    vertex_cover_decision_abortable_live(adj, alive, k, abort, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`vertex_cover_decision_abortable`] with a live node-count sink (see
-/// `max_clique_dense_scratch_live`).
 #[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_abortable_live(
+pub fn vertex_cover_decision_abortable(
     adj: &BitMatrix,
     alive: &Bitset,
     k: usize,
@@ -244,7 +217,16 @@ pub fn vertex_cover_decision_within(
 ) -> Option<Vec<u32>> {
     let mut scratch = VcScratch::default();
     let mut cover = Vec::new();
-    vertex_cover_decision_scratch(adj, alive, k, stats, &mut scratch, &mut cover).then_some(cover)
+    vertex_cover_decision_scratch(
+        adj,
+        alive,
+        k,
+        stats,
+        &mut scratch,
+        &mut cover,
+        LiveNodes::NONE,
+    )
+    .then_some(cover)
 }
 
 /// Decides whether the whole graph has a vertex cover of size ≤ `k`.
@@ -277,6 +259,7 @@ pub fn min_vertex_cover(adj: &BitMatrix, stats: Option<&mut VcStats>) -> Vec<u32
             Some(&mut local),
             &mut scratch,
             &mut cover,
+            LiveNodes::NONE,
         ) {
             hi = cover.len().min(mid);
             std::mem::swap(&mut best, &mut cover);
@@ -294,45 +277,50 @@ pub fn min_vertex_cover(adj: &BitMatrix, stats: Option<&mut VcStats>) -> Vec<u32
 /// Scratch-arena maximum clique of `adj` via minimum vertex cover of the
 /// complement. Writes the witness into `out` and returns whether a clique
 /// larger than `lb` exists. With a warm `scratch`, the entire pipeline —
-/// complement matrix included — performs no heap allocation.
+/// complement matrix included — performs no heap allocation. Node counts
+/// are sampled into `live` as in `max_clique_dense_scratch`.
 pub fn max_clique_via_vc_scratch(
     adj: &BitMatrix,
     lb: usize,
     stats: Option<&mut VcStats>,
     scratch: &mut VcSolveScratch,
     out: &mut Vec<u32>,
+    live: LiveNodes<'_>,
 ) -> bool {
-    max_clique_via_vc_driver(adj, lb, 1, stats, scratch, out, LiveNodes::NONE)
+    max_clique_via_vc_pipeline(
+        adj,
+        lb,
+        stats,
+        scratch,
+        out,
+        |comp, full, k, search, local, cover| VcSchedDecision {
+            found: vertex_cover_decision_scratch(comp, full, k, Some(local), search, cover, live),
+            stopped: false,
+        },
+    )
 }
 
-/// [`max_clique_via_vc_scratch`] with a live node-count sink (see
-/// `max_clique_dense_scratch_live`).
-pub fn max_clique_via_vc_scratch_live(
+/// The one clique-via-VC pipeline behind every entry point: complement,
+/// initial decision at `k0 = n - lb - 1`, then a binary-search refinement
+/// to the true minimum. Only the *decision* call differs between drivers,
+/// so the caller passes it in as `decide(complement, alive, k, arena,
+/// stats, cover)`. A decision that reports `stopped` (deadline trip or
+/// cancellation) ends the refinement early; the witness is then the best
+/// one found so far, and the caller marks the solve truncated.
+fn max_clique_via_vc_pipeline(
     adj: &BitMatrix,
     lb: usize,
     stats: Option<&mut VcStats>,
     scratch: &mut VcSolveScratch,
     out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    max_clique_via_vc_driver(adj, lb, 1, stats, scratch, out, live)
-}
-
-/// The one clique-via-VC pipeline behind both the sequential and the
-/// parallel entry points: complement, initial decision at
-/// `k0 = n - lb - 1`, then a binary-search refinement to the true
-/// minimum. Only the *decision* calls differ by thread budget —
-/// `threads <= 1` runs the deterministic scratch kernel on the caller's
-/// arena, above that each decision fans out through
-/// [`vertex_cover_decision_par`].
-fn max_clique_via_vc_driver(
-    adj: &BitMatrix,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
+    mut decide: impl FnMut(
+        &BitMatrix,
+        &Bitset,
+        usize,
+        &mut VcScratch,
+        &mut VcStats,
+        &mut Vec<u32>,
+    ) -> VcSchedDecision,
 ) -> bool {
     out.clear();
     let n = adj.len();
@@ -352,28 +340,24 @@ fn max_clique_via_vc_driver(
         row,
         in_cover,
     } = scratch;
-    let mut decide = |k: usize, local: &mut VcStats, cover: &mut Vec<u32>| -> bool {
-        if threads > 1 {
-            vertex_cover_decision_par_live(comp, full, k, threads, Some(local), cover, live)
-        } else {
-            vertex_cover_decision_scratch_live(comp, full, k, Some(local), search, cover, live)
-        }
-    };
     // ω > lb ⟺ minVC(complement) <= n - lb - 1.
-    let k0 = n - lb - 1;
-    if !decide(k0, &mut local, cover) {
+    let first = decide(comp, full, n - lb - 1, search, &mut local, cover);
+    if !first.found {
         if let Some(s) = stats {
             s.merge(&local);
         }
         return false;
     }
+    let mut halted = first.stopped;
     std::mem::swap(best_cover, cover);
     // Refine: binary search down to the true minimum to maximize the clique.
     let mut lo = matching_lower_bound_scratch(comp, full, avail, row);
     let mut hi = best_cover.len();
-    while lo < hi {
+    while lo < hi && !halted {
         let mid = lo + (hi - lo) / 2;
-        if decide(mid, &mut local, cover) {
+        let d = decide(comp, full, mid, search, &mut local, cover);
+        halted = d.stopped;
+        if d.found {
             hi = cover.len().min(mid);
             std::mem::swap(best_cover, cover);
         } else {
@@ -407,15 +391,17 @@ pub fn max_clique_via_vc(
 ) -> Option<Vec<u32>> {
     let mut scratch = VcSolveScratch::default();
     let mut out = Vec::new();
-    max_clique_via_vc_scratch(adj, lb, stats, &mut scratch, &mut out).then_some(out)
+    max_clique_via_vc_scratch(adj, lb, stats, &mut scratch, &mut out, LiveNodes::NONE)
+        .then_some(out)
 }
 
 // ---------------------------------------------------------------------------
-// Parallel work-splitting driver
+// Work-splitting driver on the machine-wide scheduler
 // ---------------------------------------------------------------------------
 
 /// Below this many alive vertices a parallel decision is not worth
-/// splitting: the subtree tasks would be cheaper than the thread spawns.
+/// splitting: the subtree tasks would cost more to generate and claim
+/// than to run.
 const VC_SPLIT_MIN_VERTICES: usize = 32;
 
 /// How many branch levels task generation descends before parking the
@@ -575,169 +561,6 @@ fn gen_vc_tasks(
     false
 }
 
-/// Parallel decision: cover of size ≤ `k` for `adj` restricted to
-/// `alive`. The top [`VC_SPLIT_LEVELS`] branch levels are expanded into
-/// independent subtree tasks executed by `threads` scoped workers; the
-/// first worker to find a cover triggers a [`SearchAbort`] that every
-/// other worker polls per node, so the whole crew stops the instant the
-/// decision is settled. Tasks partition the solution space (the branching
-/// is exhaustive), so a unanimous `false` is as authoritative as the
-/// sequential solver's.
-///
-/// Falls back to the (deterministic) sequential kernel when `threads <= 1`
-/// or the alive set is too small to be worth splitting.
-pub fn vertex_cover_decision_par(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    out: &mut Vec<u32>,
-) -> bool {
-    vertex_cover_decision_par_live(adj, alive, k, threads, stats, out, LiveNodes::NONE)
-}
-
-/// [`vertex_cover_decision_par`] with a live node-count sink shared by
-/// every worker (see `max_clique_dense_scratch_live`).
-pub fn vertex_cover_decision_par_live(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    out: &mut Vec<u32>,
-    sink: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if threads <= 1 || alive.len() < VC_SPLIT_MIN_VERTICES {
-        return VC_WORKER.with(|w| {
-            vertex_cover_decision_scratch_live(adj, alive, k, stats, &mut w.search, out, sink)
-        });
-    }
-    let mut local = VcStats::default();
-    let found = VC_SPLIT.with(|split| {
-        while split.levels.len() < VC_SPLIT_LEVELS + 1 {
-            split.levels.push(Bitset::default());
-        }
-        let (solved, live) = {
-            let VcSplitScratch {
-                gen,
-                levels,
-                picks,
-                tasks,
-            } = &mut *split;
-            picks.clear();
-            levels[0].copy_from(alive);
-            let mut solver = VcSolver {
-                adj,
-                stats: VcStats::default(),
-                scratch: gen,
-                abort: NoAbort,
-                live: sink,
-            };
-            let mut sink = VcGen {
-                tasks,
-                live: 0,
-                out,
-            };
-            let solved = gen_vc_tasks(&mut solver, levels, k as i64, picks, &mut sink);
-            local.merge(&solver.stats);
-            local.split_tasks += sink.live as u64;
-            (solved, sink.live)
-        };
-        if solved {
-            return true;
-        }
-        if live == 0 {
-            return false; // every branch died in generation: exhaustive no
-        }
-        let tasks = &split.tasks[..live];
-        let abort = SearchAbort::new();
-        let next = AtomicUsize::new(0);
-        let winner: Mutex<Option<Vec<u32>>> = Mutex::new(None);
-        let crew = threads.min(live);
-        std::thread::scope(|s| {
-            let (abort, next, winner) = (&abort, &next, &winner);
-            let handles: Vec<_> = (1..crew)
-                .map(|_| s.spawn(move || vc_worker(adj, tasks, next, abort, winner, false, sink)))
-                .collect();
-            local.merge(&vc_worker(adj, tasks, next, abort, winner, true, sink));
-            for h in handles {
-                local.merge(&h.join().expect("vc worker panicked"));
-            }
-        });
-        match winner.into_inner().unwrap() {
-            Some(cover) => {
-                out.clear();
-                out.extend_from_slice(&cover);
-                true
-            }
-            None => false,
-        }
-    });
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    if !found {
-        out.clear();
-    }
-    found
-}
-
-/// One worker of a parallel decision: claims tasks off the shared queue
-/// until it drains or another worker settles the decision.
-fn vc_worker(
-    adj: &BitMatrix,
-    tasks: &[VcTask],
-    next: &AtomicUsize,
-    abort: &SearchAbort,
-    winner: &Mutex<Option<Vec<u32>>>,
-    is_generator: bool,
-    live: LiveNodes<'_>,
-) -> VcStats {
-    let mut stats = VcStats::default();
-    let mut w = VC_WORKER.take();
-    loop {
-        if abort.triggered() {
-            break;
-        }
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(t) = tasks.get(i) else { break };
-        if !is_generator {
-            stats.steals += 1;
-        }
-        let ok = vertex_cover_decision_abortable_live(
-            adj,
-            &t.alive,
-            t.k as usize,
-            abort,
-            Some(&mut stats),
-            &mut w.search,
-            &mut w.cover,
-            live,
-        );
-        if ok {
-            let mut g = winner.lock().unwrap();
-            if g.is_none() {
-                let mut full = Vec::with_capacity(t.picks.len() + w.cover.len());
-                full.extend_from_slice(&t.picks);
-                full.extend_from_slice(&w.cover);
-                *g = Some(full);
-                stats.incumbent_broadcasts += 1;
-            }
-            drop(g);
-            abort.trigger();
-            break;
-        }
-    }
-    VC_WORKER.put(w);
-    stats
-}
-
-// ---------------------------------------------------------------------------
-// Machine-wide scheduler driver
-// ---------------------------------------------------------------------------
-
 /// Task arena of one scheduler-run decision: scope unit `i` owns slot
 /// `i`; re-splits append under the lock and publish the new indices.
 struct VcArena {
@@ -750,40 +573,14 @@ struct VcArena {
 /// re-split cascades.
 const VC_SCHED_MAX_TASKS: usize = 4096;
 
-/// Outcome of a scheduler-run decision. `found = false` with
-/// `stopped = true` is *not* authoritative — the solve was halted by its
-/// deadline or cancellation mid-search.
+/// Outcome of one decision of the clique-via-VC pipeline. `found = false`
+/// with `stopped = true` is *not* authoritative — the solve was halted by
+/// its deadline or cancellation mid-search. Scratch-kernel decisions never
+/// stop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VcSchedDecision {
     pub found: bool,
     pub stopped: bool,
-}
-
-/// [`vertex_cover_decision_sched_live`] without a live sink.
-#[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_sched(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut VcStats>,
-    out: &mut Vec<u32>,
-) -> VcSchedDecision {
-    vertex_cover_decision_sched_live(
-        adj,
-        alive,
-        k,
-        sched,
-        meta,
-        width,
-        should_stop,
-        stats,
-        out,
-        LiveNodes::NONE,
-    )
 }
 
 /// Decision (`cover of size ≤ k`?) on the machine-wide scheduler: the top
@@ -795,7 +592,7 @@ pub fn vertex_cover_decision_sched(
 ///
 /// `width <= 1` runs the bit-identical sequential kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_sched_live(
+pub fn vertex_cover_decision_sched(
     adj: &BitMatrix,
     alive: &Bitset,
     k: usize,
@@ -810,7 +607,7 @@ pub fn vertex_cover_decision_sched_live(
     out.clear();
     if width <= 1 || alive.len() < VC_SPLIT_MIN_VERTICES {
         let found = VC_WORKER.with(|w| {
-            vertex_cover_decision_scratch_live(adj, alive, k, stats, &mut w.search, out, sink)
+            vertex_cover_decision_scratch(adj, alive, k, stats, &mut w.search, out, sink)
         });
         return VcSchedDecision {
             found,
@@ -929,7 +726,7 @@ fn vc_sched_unit(
             resplit_vc_task(adj, arena, &t, abort, winner, sc, &mut stats, sink);
         } else {
             let mut w = VC_WORKER.take();
-            let ok = vertex_cover_decision_abortable_live(
+            let ok = vertex_cover_decision_abortable(
                 adj,
                 &t.alive,
                 t.k as usize,
@@ -1034,13 +831,13 @@ fn resplit_vc_task(
 }
 
 /// Maximum clique via minimum vertex cover of the complement on the
-/// machine-wide scheduler: the same binary-search driver as
-/// [`max_clique_via_vc_par`], with every decision fanned out as scope
-/// units. A deadline/cancellation stop ends the refinement early — the
-/// result is then the best witness found so far (the caller marks the
-/// solve truncated).
+/// machine-wide scheduler: the pipeline of [`max_clique_via_vc_scratch`],
+/// with every decision fanned out as scope units by
+/// [`vertex_cover_decision_sched`]. A deadline/cancellation stop ends the
+/// refinement early — the result is then the best witness found so far
+/// (the caller marks the solve truncated).
 #[allow(clippy::too_many_arguments)]
-pub fn max_clique_via_vc_sched_live(
+pub fn max_clique_via_vc_sched(
     adj: &BitMatrix,
     lb: usize,
     sched: &SchedHandle,
@@ -1052,104 +849,27 @@ pub fn max_clique_via_vc_sched_live(
     out: &mut Vec<u32>,
     live: LiveNodes<'_>,
 ) -> bool {
-    out.clear();
-    let n = adj.len();
-    if n == 0 || n <= lb {
-        return false;
-    }
-    adj.complement_into(&mut scratch.comp);
-    scratch.full.reset_full(n);
-    let mut local = VcStats::default();
-    let VcSolveScratch {
-        comp,
-        search: _,
-        cover,
-        best_cover,
-        full,
-        avail,
-        row,
-        in_cover,
-    } = scratch;
-    let mut halted = false;
-    let decide = |k: usize, local: &mut VcStats, cover: &mut Vec<u32>, halted: &mut bool| -> bool {
-        let d = vertex_cover_decision_sched_live(
-            comp,
-            full,
-            k,
-            sched,
-            meta,
-            width,
-            should_stop,
-            Some(local),
-            cover,
-            live,
-        );
-        if d.stopped {
-            *halted = true;
-        }
-        d.found
-    };
-    // ω > lb ⟺ minVC(complement) <= n - lb - 1.
-    let k0 = n - lb - 1;
-    if !decide(k0, &mut local, cover, &mut halted) {
-        if let Some(s) = stats {
-            s.merge(&local);
-        }
-        return false;
-    }
-    std::mem::swap(best_cover, cover);
-    let mut lo = matching_lower_bound_scratch(comp, full, avail, row);
-    let mut hi = best_cover.len();
-    while lo < hi && !halted {
-        let mid = lo + (hi - lo) / 2;
-        if decide(mid, &mut local, cover, &mut halted) {
-            hi = cover.len().min(mid);
-            std::mem::swap(best_cover, cover);
-        } else {
-            lo = mid + 1;
-        }
-    }
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    in_cover.clear();
-    in_cover.resize(n, false);
-    for &v in best_cover.iter() {
-        in_cover[v as usize] = true;
-    }
-    out.extend((0..n as u32).filter(|&v| !in_cover[v as usize]));
-    debug_assert!(adj.is_clique(out));
-    true
-}
-
-/// Parallel maximum clique via minimum vertex cover of the complement:
-/// the binary search over `k` is sequential (each step depends on the
-/// last), but every decision inside it fans out through
-/// [`vertex_cover_decision_par`]. `threads <= 1` *is* the sequential
-/// pipeline (same driver, scratch decision kernel).
-pub fn max_clique_via_vc_par(
-    adj: &BitMatrix,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    max_clique_via_vc_driver(adj, lb, threads, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`max_clique_via_vc_par`] with a live node-count sink shared by every
-/// decision worker (see `max_clique_dense_scratch_live`).
-pub fn max_clique_via_vc_par_live(
-    adj: &BitMatrix,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    max_clique_via_vc_driver(adj, lb, threads, stats, scratch, out, live)
+    max_clique_via_vc_pipeline(
+        adj,
+        lb,
+        stats,
+        scratch,
+        out,
+        |comp, full, k, _search, local, cover| {
+            vertex_cover_decision_sched(
+                comp,
+                full,
+                k,
+                sched,
+                meta,
+                width,
+                should_stop,
+                Some(local),
+                cover,
+                live,
+            )
+        },
+    )
 }
 
 /// Lower bound: size of a greedily-built maximal matching (every cover must
@@ -1692,20 +1412,36 @@ mod tests {
         assert!(st.reductions > 0);
     }
 
-    use crate::test_util::pseudo_graph;
+    use crate::test_util::{pseudo_graph, test_pool};
 
     #[test]
     fn parallel_decision_matches_sequential() {
+        let pool = test_pool();
         for (n, p, seed) in [(50, 120, 3), (64, 200, 17), (40, 300, 9)] {
             let m = pseudo_graph(n, p, seed);
             let alive = Bitset::full(n);
             let mvc = min_vertex_cover(&m, None).len();
+            let decide =
+                |k: usize, threads: usize, st: Option<&mut VcStats>, out: &mut Vec<u32>| {
+                    vertex_cover_decision_sched(
+                        &m,
+                        &alive,
+                        k,
+                        &pool,
+                        TaskMeta::adhoc(),
+                        threads,
+                        None,
+                        st,
+                        out,
+                        LiveNodes::NONE,
+                    )
+                };
             for threads in [2, 4, 8] {
                 let mut out = Vec::new();
                 // Exactly at the optimum: must succeed with a valid cover.
                 let mut st = VcStats::default();
                 assert!(
-                    vertex_cover_decision_par(&m, &alive, mvc, threads, Some(&mut st), &mut out),
+                    decide(mvc, threads, Some(&mut st), &mut out).found,
                     "n={n} threads={threads} k={mvc}"
                 );
                 assert!(out.len() <= mvc);
@@ -1713,14 +1449,7 @@ mod tests {
                 assert!(st.nodes > 0);
                 // One below: must fail, unanimously.
                 if mvc > 0 {
-                    assert!(!vertex_cover_decision_par(
-                        &m,
-                        &alive,
-                        mvc - 1,
-                        threads,
-                        None,
-                        &mut out
-                    ));
+                    assert!(!decide(mvc - 1, threads, None, &mut out).found);
                     assert!(out.is_empty());
                 }
             }
@@ -1730,6 +1459,7 @@ mod tests {
     #[test]
     fn parallel_clique_via_vc_matches_sequential() {
         use crate::mc::max_clique_exact;
+        let pool = test_pool();
         for (n, p, seed) in [(48, 780, 5), (64, 850, 23)] {
             let m = pseudo_graph(n, p, seed);
             let omega = max_clique_exact(&m).len();
@@ -1737,25 +1467,25 @@ mod tests {
                 let mut scratch = VcSolveScratch::new();
                 let mut out = Vec::new();
                 let mut st = VcStats::default();
-                assert!(max_clique_via_vc_par(
-                    &m,
-                    0,
-                    threads,
-                    Some(&mut st),
-                    &mut scratch,
-                    &mut out
-                ));
+                let mut solve = |lb: usize, st: Option<&mut VcStats>, out: &mut Vec<u32>| {
+                    max_clique_via_vc_sched(
+                        &m,
+                        lb,
+                        &pool,
+                        TaskMeta::adhoc(),
+                        threads,
+                        None,
+                        st,
+                        &mut scratch,
+                        out,
+                        LiveNodes::NONE,
+                    )
+                };
+                assert!(solve(0, Some(&mut st), &mut out));
                 assert_eq!(out.len(), omega, "n={n} threads={threads}");
                 assert!(m.is_clique(&out));
                 // lb suppression must agree too.
-                assert!(!max_clique_via_vc_par(
-                    &m,
-                    omega,
-                    threads,
-                    None,
-                    &mut scratch,
-                    &mut out
-                ));
+                assert!(!solve(omega, None, &mut out));
             }
         }
     }
@@ -1779,6 +1509,7 @@ mod tests {
             Some(&mut st),
             &mut scratch,
             &mut out,
+            LiveNodes::NONE,
         );
         assert!(!ok);
         assert_eq!(st.nodes, 0);
@@ -1803,7 +1534,8 @@ mod tests {
                 0,
                 None,
                 &mut scratch,
-                &mut out
+                &mut out,
+                LiveNodes::NONE,
             ));
             assert_eq!(out.len(), expect.len(), "graph {m:?}");
             assert!(m.is_clique(&out));
@@ -1814,7 +1546,8 @@ mod tests {
             3,
             None,
             &mut scratch,
-            &mut out
+            &mut out,
+            LiveNodes::NONE,
         ));
         assert!(out.is_empty());
     }

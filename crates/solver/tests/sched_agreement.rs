@@ -1,9 +1,9 @@
-//! The scheduler-driver counterpart of `par_agreement.rs`: MC and k-VC
-//! solves whose subtree tasks run on the machine-wide work-stealing pool
-//! must agree with the sequential kernels on ω (and produce genuine
-//! witnesses) under random steal interleavings — the pool's workers race
-//! the calling thread for every arena slot, so each proptest case is a
-//! fresh interleaving.
+//! The parallel drivers against the sequential kernels: MC, clique-via-VC
+//! and k-VC decision solves whose subtree tasks run on the machine-wide
+//! work-stealing pool must agree with the sequential kernels on ω (and
+//! produce genuine witnesses) under random steal interleavings — the
+//! pool's workers race the calling thread for every arena slot, so each
+//! proptest case is a fresh interleaving.
 //!
 //! Set `LAZYMC_TEST_THREADS=<n>` to pin the solve width (CI runs the
 //! suite once with 4); unset, every test sweeps widths 2, 4 and 8. The
@@ -12,9 +12,9 @@
 
 use lazymc_sched::{Pool, SchedHandle, TaskMeta};
 use lazymc_solver::{
-    max_clique_dense_sched, max_clique_dense_scratch, max_clique_exact,
-    max_clique_via_vc_sched_live, max_clique_via_vc_scratch, min_vertex_cover, vc::is_vertex_cover,
-    vertex_cover_decision_sched, Bitset, LiveNodes, McScratch, McStats, VcSolveScratch,
+    max_clique_dense_sched, max_clique_dense_scratch, max_clique_exact, max_clique_via_vc_sched,
+    max_clique_via_vc_scratch, min_vertex_cover, vc::is_vertex_cover, vertex_cover_decision_sched,
+    Bitset, LiveNodes, McScratch, McStats, VcSolveScratch,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -56,6 +56,7 @@ proptest! {
             let mut out = Vec::new();
             let found = max_clique_dense_sched(
                 &m, &Bitset::full(n), 0, &handle, TaskMeta::adhoc(), width, None, None, &mut out,
+                LiveNodes::NONE,
             );
             prop_assert!(found, "n={n} p={p} width={width}");
             prop_assert_eq!(out.len(), omega, "n={} p={} seed={}", n, p, seed);
@@ -63,7 +64,7 @@ proptest! {
             // The lower bound suppresses exactly at ω.
             prop_assert!(!max_clique_dense_sched(
                 &m, &Bitset::full(n), omega, &handle, TaskMeta::adhoc(), width, None, None,
-                &mut out,
+                &mut out, LiveNodes::NONE,
             ));
             prop_assert!(out.is_empty());
         }
@@ -82,7 +83,7 @@ proptest! {
             let mut scratch = VcSolveScratch::new();
             let mut out = Vec::new();
             prop_assert!(
-                max_clique_via_vc_sched_live(
+                max_clique_via_vc_sched(
                     &m, 0, &handle, TaskMeta::adhoc(), width, None, None, &mut scratch,
                     &mut out, LiveNodes::NONE,
                 ),
@@ -90,7 +91,7 @@ proptest! {
             );
             prop_assert_eq!(out.len(), omega, "n={} p={} seed={}", n, p, seed);
             prop_assert!(m.is_clique(&out));
-            prop_assert!(!max_clique_via_vc_sched_live(
+            prop_assert!(!max_clique_via_vc_sched(
                 &m, omega, &handle, TaskMeta::adhoc(), width, None, None, &mut scratch,
                 &mut out, LiveNodes::NONE,
             ));
@@ -112,6 +113,7 @@ proptest! {
             // At the optimum: success with a genuine cover.
             let d = vertex_cover_decision_sched(
                 &m, &alive, mvc, &handle, TaskMeta::adhoc(), width, None, None, &mut out,
+                LiveNodes::NONE,
             );
             prop_assert!(d.found, "n={n} p={p} width={width} k={mvc}");
             prop_assert!(!d.stopped);
@@ -121,6 +123,7 @@ proptest! {
             if mvc > 0 {
                 let d = vertex_cover_decision_sched(
                     &m, &alive, mvc - 1, &handle, TaskMeta::adhoc(), width, None, None, &mut out,
+                    LiveNodes::NONE,
                 );
                 prop_assert!(!d.found && !d.stopped);
                 prop_assert!(out.is_empty());
@@ -147,7 +150,8 @@ fn width_one_is_bit_identical_to_the_sequential_kernel() {
         0,
         Some(&mut seq_stats),
         &mut scratch,
-        &mut seq_out
+        &mut seq_out,
+        LiveNodes::NONE,
     ));
 
     let mut one_stats = McStats::default();
@@ -162,6 +166,7 @@ fn width_one_is_bit_identical_to_the_sequential_kernel() {
         None,
         Some(&mut one_stats),
         &mut one_out,
+        LiveNodes::NONE,
     ));
     assert_eq!(one_out, seq_out, "width-1 witness must match exactly");
     assert_eq!(one_stats.nodes, seq_stats.nodes, "node-for-node identical");
@@ -176,10 +181,11 @@ fn width_one_is_bit_identical_to_the_sequential_kernel() {
         0,
         None,
         &mut vc_scratch,
-        &mut vc_seq
+        &mut vc_seq,
+        LiveNodes::NONE,
     ));
     let mut vc_one = Vec::new();
-    assert!(max_clique_via_vc_sched_live(
+    assert!(max_clique_via_vc_sched(
         &m,
         0,
         &handle,

@@ -12,7 +12,7 @@
 use lazymc_solver::{
     max_clique_dense_scratch, max_clique_dense_subtree, max_clique_via_vc_scratch,
     min_vertex_cover, reduce_candidates, vertex_cover_decision_abortable, Bitset, ColorScratch,
-    McScratch, SearchAbort, SharedBest, VcScratch, VcSolveScratch,
+    LiveNodes, McScratch, SearchAbort, SharedBest, VcScratch, VcSolveScratch,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -49,6 +49,9 @@ unsafe impl GlobalAlloc for ThreadCountingAlloc {
 #[global_allocator]
 static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
 
+/// The kernels' live-progress sink, unobserved here.
+const NONE: LiveNodes<'static> = LiveNodes::NONE;
+
 fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
 }
@@ -61,14 +64,14 @@ fn dense_mc_search_is_allocation_free_after_warmup() {
     let mut out = Vec::new();
 
     // Warm-up: grows every per-depth buffer to this instance's size.
-    let found_warm = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out);
+    let found_warm = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out, NONE);
     assert!(found_warm);
     let omega = out.len();
     assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
 
     // Steady state: the identical search must not touch the heap.
     let before = thread_allocs();
-    let found = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out);
+    let found = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out, NONE);
     let allocs = thread_allocs() - before;
     assert!(found);
     assert_eq!(out.len(), omega);
@@ -112,7 +115,8 @@ fn clique_via_vc_pipeline_is_allocation_free_after_warmup() {
         0,
         None,
         &mut scratch,
-        &mut out
+        &mut out,
+        NONE
     ));
     let omega = out.len();
 
@@ -122,7 +126,8 @@ fn clique_via_vc_pipeline_is_allocation_free_after_warmup() {
         0,
         None,
         &mut scratch,
-        &mut out
+        &mut out,
+        NONE
     ));
     let allocs = thread_allocs() - before;
     assert_eq!(out.len(), omega);
@@ -147,7 +152,7 @@ fn parallel_mc_worker_is_allocation_free_after_warmup() {
     // Warm-up: grows the arena and establishes ω in a first incumbent.
     let warm = SharedBest::with_floor(0);
     warm.reserve(adj.len());
-    max_clique_dense_subtree(&adj, &cand, &[], &warm, None, &mut scratch);
+    max_clique_dense_subtree(&adj, &cand, &[], &warm, None, &mut scratch, NONE);
     let omega = warm.size();
     assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
 
@@ -156,7 +161,7 @@ fn parallel_mc_worker_is_allocation_free_after_warmup() {
     let shared = SharedBest::with_floor(0);
     shared.reserve(adj.len());
     let before = thread_allocs();
-    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch);
+    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch, NONE);
     let allocs = thread_allocs() - before;
     assert_eq!(shared.size(), omega);
     assert!(
@@ -171,7 +176,7 @@ fn parallel_mc_worker_is_allocation_free_after_warmup() {
     // Steady state 2: a saturated incumbent (everything prunes) — the
     // prune-heavy regime a worker spends most of its life in.
     let before = thread_allocs();
-    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch);
+    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch, NONE);
     let allocs = thread_allocs() - before;
     assert_eq!(
         allocs, 0,
@@ -200,7 +205,8 @@ fn parallel_vc_worker_is_allocation_free_after_warmup() {
         &abort,
         None,
         &mut scratch,
-        &mut cover
+        &mut cover,
+        NONE
     ));
     assert!(!vertex_cover_decision_abortable(
         &adj,
@@ -209,7 +215,8 @@ fn parallel_vc_worker_is_allocation_free_after_warmup() {
         &abort,
         None,
         &mut scratch,
-        &mut cover
+        &mut cover,
+        NONE
     ));
 
     let before = thread_allocs();
@@ -220,7 +227,8 @@ fn parallel_vc_worker_is_allocation_free_after_warmup() {
         &abort,
         None,
         &mut scratch,
-        &mut cover
+        &mut cover,
+        NONE
     ));
     assert!(!vertex_cover_decision_abortable(
         &adj,
@@ -229,7 +237,8 @@ fn parallel_vc_worker_is_allocation_free_after_warmup() {
         &abort,
         None,
         &mut scratch,
-        &mut cover
+        &mut cover,
+        NONE
     ));
     let allocs = thread_allocs() - before;
     assert_eq!(
@@ -266,6 +275,7 @@ fn sched_task_body_is_allocation_free_after_warmup() {
         None,
         None,
         &mut out,
+        NONE,
     ));
     let omega = out.len();
 
@@ -280,6 +290,7 @@ fn sched_task_body_is_allocation_free_after_warmup() {
         None,
         None,
         &mut out,
+        NONE,
     ));
     let allocs = thread_allocs() - before;
     assert_eq!(out.len(), omega);
@@ -303,6 +314,7 @@ fn sched_task_body_is_allocation_free_after_warmup() {
         None,
         None,
         &mut cover,
+        NONE,
     );
     assert!(d.found);
 
@@ -317,6 +329,7 @@ fn sched_task_body_is_allocation_free_after_warmup() {
         None,
         None,
         &mut cover,
+        NONE,
     );
     let allocs = thread_allocs() - before;
     assert!(d.found);
