@@ -2,7 +2,9 @@
 
 use crate::args::Parsed;
 use lazymc_core::{Config, LazyMc, PrePopulate};
-use lazymc_graph::{connected_components, io, suite, triangle_count, CsrGraph, GraphStats};
+use lazymc_graph::{
+    connected_components, io, snapshot, suite, triangle_count, CsrGraph, GraphStats,
+};
 use lazymc_order::kcore_sequential;
 use std::time::{Duration, Instant};
 
@@ -455,10 +457,8 @@ pub fn snapshot(argv: &[String]) -> i32 {
     };
     let t = Instant::now();
     let kc = kcore_sequential(&g);
-    let mut snap = lazymc_graph::snapshot::Snapshot::from_graph(&g);
-    lazymc_order::embed_kcore(&mut snap, &kc);
-    let bytes = snap.encode();
-    if let Err(e) = lazymc_graph::snapshot::write_file_atomic(std::path::Path::new(out), &bytes) {
+    let bytes = snapshot::encode(&g, &kc.coreness, &kc.peel_order);
+    if let Err(e) = snapshot::write_file_atomic(std::path::Path::new(out), &bytes) {
         return fail(&format!("cannot write {out}: {e}"));
     }
     println!(
@@ -466,7 +466,7 @@ pub fn snapshot(argv: &[String]) -> i32 {
         g.num_vertices(),
         g.num_edges(),
         kc.degeneracy,
-        snap.fingerprint,
+        g.fingerprint(),
         bytes.len(),
         t.elapsed()
     );
@@ -488,22 +488,20 @@ pub fn restore(argv: &[String]) -> i32 {
         Ok(b) => b,
         Err(e) => return fail(&format!("cannot read {path}: {e}")),
     };
-    let snap = match lazymc_graph::snapshot::Snapshot::decode(&bytes) {
-        Ok(s) => s,
+    let d = match snapshot::decode(&bytes) {
+        Ok(d) => d,
         Err(e) => return fail(&format!("corrupt snapshot {path}: {e}")),
     };
-    let g = match snap.graph() {
-        Ok(g) => g,
-        Err(e) => return fail(&format!("corrupt snapshot {path}: {e}")),
-    };
-    let kc = match lazymc_order::extract_kcore(&snap) {
-        Ok(kc) => kc,
-        Err(e) => return fail(&format!("corrupt snapshot {path}: {e}")),
+    let kc = lazymc_order::KCore {
+        coreness: d.coreness,
+        degeneracy: d.degeneracy,
+        peel_order: d.peel_order,
     };
     println!("snapshot    {path} ({} bytes, checksum ok)", bytes.len());
+    let g = d.graph;
     println!("vertices    {}", g.num_vertices());
     println!("edges       {}", g.num_edges());
-    println!("fingerprint {:016x}", snap.fingerprint);
+    println!("fingerprint {:016x}", d.fingerprint);
     println!("degeneracy  {}", kc.degeneracy);
     println!("omega <=    {}", kc.omega_upper_bound());
     println!(

@@ -102,7 +102,7 @@ impl LazyMc {
     /// vertex ids; its size is deterministic, its identity need not be.
     pub fn solve(&self, g: &dyn GraphAccess) -> SolveResult {
         let deadline = Deadline::starting_now(self.config.time_budget);
-        self.solve_prepared(g, None, &deadline)
+        self.solve_prepared(g, None, &deadline, None)
     }
 
     /// [`LazyMc::solve`] for long-running callers that amortize work across
@@ -115,19 +115,11 @@ impl LazyMc {
     /// `kcore` must come from [`lazymc_order::kcore_sequential`] on this
     /// exact graph; a decomposition without a peel order is recomputed when
     /// the configured order requires one.
-    pub fn solve_prepared(
-        &self,
-        g: &dyn GraphAccess,
-        kcore: Option<KCoreView<'_>>,
-        deadline: &Deadline,
-    ) -> SolveResult {
-        self.solve_prepared_observed(g, kcore, deadline, None)
-    }
-
-    /// [`LazyMc::solve_prepared`] with live introspection: the solve
-    /// publishes its current phase, work counters and incumbent size
-    /// into `progress` as it runs, so an observer thread can report on
-    /// a solve that has not finished. Passing `None` costs nothing.
+    ///
+    /// With `progress`, the solve publishes its current phase, work
+    /// counters and incumbent size as it runs, so an observer thread can
+    /// report on a solve that has not finished. Passing `None` costs
+    /// nothing.
     ///
     /// The systematic search runs on the process-wide scheduler pool
     /// (created by the first solve that hands it work, one worker per
@@ -135,7 +127,7 @@ impl LazyMc {
     /// configured width; `threads = 1` never touches it. The data-parallel phases —
     /// the heuristics, k-core and prepopulate — run on the rayon shim at
     /// the configured thread count.
-    pub fn solve_prepared_observed(
+    pub fn solve_prepared(
         &self,
         g: &dyn GraphAccess,
         kcore: Option<KCoreView<'_>>,
@@ -157,7 +149,7 @@ impl LazyMc {
         result
     }
 
-    /// [`LazyMc::solve_prepared_observed`] on the caller's scheduler pool
+    /// [`LazyMc::solve_prepared`] on the caller's scheduler pool
     /// instead of the process-wide one: the systematic sweep and every
     /// intra-solve subtree split become stealable tasks stamped with
     /// `meta` (job id, deadline, priority) on the pool behind `handle`.
@@ -498,7 +490,7 @@ mod tests {
         ] {
             let solver = LazyMc::new(cfg.clone());
             let deadline = Deadline::none();
-            let r = solver.solve_prepared(&g, Some(kc.view()), &deadline);
+            let r = solver.solve_prepared(&g, Some(kc.view()), &deadline, None);
             assert_eq!(r.size(), expected.size(), "config {cfg:?}");
             assert!(r.is_exact());
             assert!(g.is_clique(r.vertices()));
@@ -515,7 +507,7 @@ mod tests {
         // a queue past its budget): the result is a sound lower bound
         // flagged inexact.
         let deadline = Deadline::starting_now(Some(std::time::Duration::ZERO));
-        let r = LazyMc::default().solve_prepared(&g, Some(kc.view()), &deadline);
+        let r = LazyMc::default().solve_prepared(&g, Some(kc.view()), &deadline, None);
         assert!(!r.is_exact());
         assert!(g.is_clique(r.vertices()));
     }
@@ -525,7 +517,7 @@ mod tests {
         let g = gen::planted_clique(200, 0.04, 10, 3);
         let progress = SolveProgress::new();
         let deadline = Deadline::none();
-        let r = LazyMc::default().solve_prepared_observed(&g, None, &deadline, Some(&progress));
+        let r = LazyMc::default().solve_prepared(&g, None, &deadline, Some(&progress));
         assert_eq!(r.size(), 10);
         assert_eq!(progress.phase(), Phase::Done);
         // The incumbent cell and the counters are the solve's own.

@@ -1,7 +1,7 @@
 //! Live solve progress.
 //!
 //! A [`SolveProgress`] is a shared cell a long-running caller (the query
-//! daemon) hands to [`crate::LazyMc::solve_prepared_observed`]. The
+//! daemon) hands to [`crate::LazyMc::solve_prepared`]. The
 //! solve publishes into it as it runs — current phase, the relaxed work
 //! [`Counters`], and the incumbent size — so an observer thread can
 //! snapshot a *running* solve without touching the search: every store

@@ -6,9 +6,9 @@
 //! property that makes `--mmap-threshold-bytes` a pure performance knob.
 
 use lazymc_core::{Config, Deadline, LazyMc};
-use lazymc_graph::snapshot::{write_file_atomic, Snapshot};
+use lazymc_graph::snapshot::{encode, write_file_atomic};
 use lazymc_graph::{gen, CsrGraph, MappedSnapshot};
-use lazymc_order::{embed_kcore, kcore_sequential, KCoreView};
+use lazymc_order::{kcore_sequential, KCoreView};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,9 +34,7 @@ fn snap_to_tmp(g: &CsrGraph) -> PathBuf {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join(format!("{}.lmcs", SEQ.fetch_add(1, Ordering::Relaxed)));
     let kc = kcore_sequential(g);
-    let mut snap = Snapshot::from_graph(g);
-    embed_kcore(&mut snap, &kc);
-    write_file_atomic(&path, &snap.encode()).expect("write snapshot");
+    write_file_atomic(&path, &encode(g, &kc.coreness, &kc.peel_order)).expect("write snapshot");
     path
 }
 
@@ -57,13 +55,14 @@ proptest! {
             &g,
             Some(kc.view()),
             &Deadline::starting_now(None),
+            None,
         );
         // Mapped path: the same graph through the file mapping, coreness
         // borrowed from the snapshot rather than recomputed.
         let path = snap_to_tmp(&g);
         let m = MappedSnapshot::map(&path).expect("map");
         let view = KCoreView {
-            coreness: m.coreness().expect("embedded coreness"),
+            coreness: m.coreness(),
             degeneracy: m.degeneracy(),
             peel_order: m.peel_order(),
         };
@@ -71,6 +70,7 @@ proptest! {
             &m,
             Some(view),
             &Deadline::starting_now(None),
+            None,
         );
         prop_assert_eq!(heap.size(), mapped.size(), "omega diverged");
         prop_assert_eq!(heap.vertices(), mapped.vertices(), "witness diverged");

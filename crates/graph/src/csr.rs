@@ -10,6 +10,7 @@
 //! rely on; [`CsrGraph::validate`] checks them explicitly and is used by the
 //! property tests.
 
+use crate::snapshot::{fnv1a, fnv1a_update};
 use crate::VertexId;
 
 /// An immutable, undirected, simple graph in CSR form.
@@ -258,25 +259,13 @@ impl CsrGraph {
     /// enough to compute at load time, stable enough to key caches across
     /// re-uploads of the same dataset.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.num_vertices() as u64);
         // Offsets are determined by the degree sequence; hashing the degree
         // gaps keeps the loop branch-free and position-dependent.
-        for w in self.offsets.windows(2) {
-            mix((w[1] - w[0]) as u64);
-        }
-        for &t in &self.targets {
-            mix(t as u64);
-        }
-        h
+        content_fingerprint(
+            self.num_vertices(),
+            self.offsets.windows(2).map(|w| (w[1] - w[0]) as u64),
+            self.targets.iter().copied(),
+        )
     }
 
     /// The raw CSR arrays `(offsets, targets)`, in the exact form
@@ -308,6 +297,20 @@ impl std::fmt::Debug for CsrGraph {
             self.num_edges()
         )
     }
+}
+
+/// [`CsrGraph::fingerprint`] of the graph with `n` vertices, this degree
+/// sequence and these targets, however they are stored: FNV-1a over `n`,
+/// then each degree, then each target, all as little-endian `u64`s. The
+/// snapshot ladder re-fingerprints stored arrays with it.
+pub(crate) fn content_fingerprint(
+    n: usize,
+    degrees: impl Iterator<Item = u64>,
+    targets: impl Iterator<Item = VertexId>,
+) -> u64 {
+    let h = fnv1a(&(n as u64).to_le_bytes());
+    let h = degrees.fold(h, |h, d| fnv1a_update(h, &d.to_le_bytes()));
+    targets.fold(h, |h, t| fnv1a_update(h, &u64::from(t).to_le_bytes()))
 }
 
 #[cfg(test)]

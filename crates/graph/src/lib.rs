@@ -9,15 +9,17 @@
 //! * [`io`] — readers/writers for edge-list, DIMACS `.clq` and
 //!   MatrixMarket files;
 //! * [`gen`] — deterministic synthetic generators used as stand-ins for the
-//!   paper's 28 proprietary/web-scale datasets (see DESIGN.md §4);
+//!   paper's 28 proprietary/web-scale datasets;
 //! * [`suite`] — the named benchmark suite used by every experiment binary;
-//! * [`snapshot`] — the `.lmcs` durable snapshot container: versioned,
-//!   checksummed, mmap-friendly serialization of CSR arrays plus
-//!   caller-defined sections (coreness lives in `lazymc-order`);
-//! * [`mmap`] — the zero-copy loader: [`MappedSnapshot`] validates a
-//!   snapshot file in place and borrows the CSR slices straight out of
-//!   a read-only mapping, behind the [`GraphStore`] `Heap | Mapped`
-//!   enum and the [`GraphAccess`] trait every kernel consumes.
+//! * [`snapshot`] — the `.lmcs` durable snapshot format: versioned,
+//!   checksummed, mmap-friendly serialization of the CSR arrays and the
+//!   k-core decomposition, with one writer and one validation ladder
+//!   that every reader runs;
+//! * [`mmap`] — the zero-copy reader: [`MappedSnapshot`] runs that
+//!   ladder over a read-only mapping and borrows the CSR and coreness
+//!   slices straight out of it, behind the [`GraphStore`]
+//!   `Heap | Mapped` enum and the [`GraphAccess`] trait every kernel
+//!   consumes.
 //!
 //! All vertex identifiers are [`VertexId`] (`u32`), matching the 4-byte ids
 //! the paper assumes (16 per cache line, which motivates the hopscotch hash

@@ -1,9 +1,10 @@
-//! `.lmcs` — the durable snapshot container.
+//! `.lmcs` — the durable snapshot format, and the one module that knows
+//! its layout.
 //!
 //! A snapshot freezes the artifacts that are expensive to recompute — the
-//! CSR adjacency arrays and (via sections written by `lazymc-order`) the
-//! exact k-core decomposition — into one versioned, checksummed,
-//! little-endian file. The layout is mmap-friendly by construction:
+//! CSR adjacency arrays and the exact k-core decomposition — into one
+//! versioned, checksummed, little-endian file. The layout is
+//! mmap-friendly by construction:
 //!
 //! * a fixed 64-byte header holding the magic, version, total length,
 //!   content fingerprint and checksum;
@@ -12,74 +13,41 @@
 //! * the section payloads themselves, each starting on an 8-byte boundary
 //!   and zero-padded to one.
 //!
-//! Today the decoder copies sections into owned `Vec`s; because every
-//! offset in the table is absolute and 8-byte aligned, a future zero-copy
-//! loader can `mmap` the file and point slices straight into it without a
-//! format change.
-//!
-//! Corruption detection is layered: the header carries the exact file
-//! length (truncation), an FNV-1a checksum over the whole file (bit flips
-//! anywhere, header included), and [`Snapshot::graph`] re-fingerprints the
-//! decoded CSR against the recorded content fingerprint. Every decode path
-//! returns `Err` rather than panicking on hostile bytes.
+//! [`encode`] is the one writer and [`validate`] the one validation
+//! ladder. Every reader runs the ladder: [`decode`] then copies each
+//! section once onto the heap, [`crate::MappedSnapshot::map`] borrows the
+//! sections straight out of a file mapping, and an integrity scrub runs
+//! the ladder alone. So the heap and mapped readers accept exactly the
+//! same files. Every rung returns `Err` rather than panicking on hostile
+//! bytes.
 
-use crate::CsrGraph;
+use crate::{CsrGraph, VertexId};
 use std::io::Write as _;
 use std::path::Path;
 
 /// File magic: the first four bytes of every `.lmcs` file.
 pub const MAGIC: [u8; 4] = *b"LMCS";
-/// Current format version. Decoders reject other versions.
+/// Current format version. Readers reject other versions.
 pub const VERSION: u32 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Size of one section-table record in bytes.
 pub const SECTION_RECORD_LEN: usize = 24;
 
-/// Section ids. The graph crate owns the CSR sections; other crates claim
-/// ids for their own artifacts (coreness and peel order live in
-/// `lazymc-order`).
+/// CSR row offsets (`u64`, `n + 1` entries).
 pub const SEC_OFFSETS: u32 = 1;
-/// CSR adjacency targets (`u32`).
+/// CSR adjacency targets (`u32`, `m2` entries).
 pub const SEC_TARGETS: u32 = 2;
-/// Exact per-vertex coreness (`u32`), written by `lazymc-order`.
+/// Exact per-vertex coreness (`u32`, `n` entries). Required.
 pub const SEC_CORENESS: u32 = 3;
-/// Sequential peel order (`u32`), written by `lazymc-order`.
+/// Sequential peel order (`u32`, a permutation of `0..n`). Omitted when
+/// the decomposition recorded none.
 pub const SEC_PEEL_ORDER: u32 = 4;
-
-/// Payload of one section: a flat array of 4- or 8-byte little-endian
-/// elements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SectionData {
-    U32(Vec<u32>),
-    U64(Vec<u64>),
-}
-
-impl SectionData {
-    fn elem_width(&self) -> u32 {
-        match self {
-            SectionData::U32(_) => 4,
-            SectionData::U64(_) => 8,
-        }
-    }
-
-    fn elem_count(&self) -> u64 {
-        match self {
-            SectionData::U32(v) => v.len() as u64,
-            SectionData::U64(v) => v.len() as u64,
-        }
-    }
-
-    fn byte_len(&self) -> usize {
-        (self.elem_width() as usize) * (self.elem_count() as usize)
-    }
-}
 
 /// Header fields readable without touching the payload — what a startup
 /// index scan needs to know about a file before deciding to load it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    pub version: u32,
     /// Total file length the header promises (truncation check).
     pub file_len: u64,
     /// Content fingerprint of the stored graph ([`CsrGraph::fingerprint`]).
@@ -90,281 +58,293 @@ pub struct SnapshotInfo {
     pub m2: u64,
 }
 
-/// An in-memory snapshot: fingerprint + typed sections.
-///
-/// Build one with [`Snapshot::from_graph`], attach extra sections (e.g.
-/// coreness) with [`Snapshot::push_section`], then [`Snapshot::encode`].
-/// The reverse path is [`Snapshot::decode`] → [`Snapshot::graph`] /
-/// [`Snapshot::u32_section`].
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    pub fingerprint: u64,
-    pub n: u64,
-    pub m2: u64,
-    sections: Vec<(u32, SectionData)>,
+/// Where one validated section lies: `count` elements from byte
+/// `offset`, a multiple of 8, and wholly inside the validated bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) offset: usize,
+    pub(crate) count: usize,
 }
 
-impl Snapshot {
-    /// A snapshot of `g`'s CSR arrays, fingerprinted.
-    pub fn from_graph(g: &CsrGraph) -> Snapshot {
-        let (offsets, targets) = g.raw_parts();
-        Snapshot {
-            fingerprint: g.fingerprint(),
-            n: g.num_vertices() as u64,
-            m2: targets.len() as u64,
-            sections: vec![
-                (
-                    SEC_OFFSETS,
-                    SectionData::U64(offsets.iter().map(|&o| o as u64).collect()),
-                ),
-                (SEC_TARGETS, SectionData::U32(targets.to_vec())),
-            ],
+/// What [`validate`] proved about a snapshot: the header facts, the
+/// degeneracy and where each section the readers use lies in the bytes.
+/// Only [`validate`] builds one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    pub(crate) fingerprint: u64,
+    pub(crate) n: usize,
+    pub(crate) m2: usize,
+    /// Maximum of the coreness section; the format does not store it.
+    pub(crate) degeneracy: u32,
+    pub(crate) offsets: Span,
+    pub(crate) targets: Span,
+    pub(crate) coreness: Span,
+    /// `None` when the snapshot holds no peel order.
+    pub(crate) peel_order: Option<Span>,
+}
+
+/// A snapshot decoded onto the heap by [`decode`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decoded {
+    pub graph: CsrGraph,
+    pub fingerprint: u64,
+    pub coreness: Vec<u32>,
+    pub degeneracy: u32,
+    /// Empty when the snapshot holds no peel order.
+    pub peel_order: Vec<VertexId>,
+}
+
+/// Serializes `g` and its decomposition to the `.lmcs` layout, writing
+/// each section straight from its array: offsets, targets, coreness and,
+/// when non-empty, the peel order. The arrays are written as given; the
+/// readers' ladder is what rejects a decomposition that does not fit `g`.
+pub fn encode(g: &CsrGraph, coreness: &[u32], peel_order: &[VertexId]) -> Vec<u8> {
+    let (offsets, targets) = g.raw_parts();
+    let mut words = vec![(SEC_TARGETS, targets), (SEC_CORENESS, coreness)];
+    if !peel_order.is_empty() {
+        words.push((SEC_PEEL_ORDER, peel_order));
+    }
+    // (id, element width, payload offset, element count), in file order.
+    let mut records = Vec::with_capacity(1 + words.len());
+    let mut end = align8(HEADER_LEN + (1 + words.len()) * SECTION_RECORD_LEN);
+    for (id, width, count) in std::iter::once((SEC_OFFSETS, 8u32, offsets.len()))
+        .chain(words.iter().map(|&(id, w)| (id, 4, w.len())))
+    {
+        records.push((id, width, end, count));
+        end = align8(end + width as usize * count);
+    }
+
+    let mut out = vec![0u8; end];
+    put(&mut out, 0, MAGIC);
+    put(&mut out, 4, VERSION.to_le_bytes());
+    put(&mut out, 8, (end as u64).to_le_bytes());
+    put(&mut out, 16, g.fingerprint().to_le_bytes());
+    put(&mut out, 24, (g.num_vertices() as u64).to_le_bytes());
+    put(&mut out, 32, (targets.len() as u64).to_le_bytes());
+    put(&mut out, 40, (records.len() as u32).to_le_bytes());
+    // out[44..48] reserved, zero. out[48..56] is the checksum slot,
+    // zero while hashing. out[56..64] reserved, zero.
+    for (i, &(id, width, offset, count)) in records.iter().enumerate() {
+        let at = HEADER_LEN + i * SECTION_RECORD_LEN;
+        put(&mut out, at, id.to_le_bytes());
+        put(&mut out, at + 4, width.to_le_bytes());
+        put(&mut out, at + 8, (offset as u64).to_le_bytes());
+        put(&mut out, at + 16, (count as u64).to_le_bytes());
+    }
+    for (slot, &o) in out[records[0].2..].chunks_exact_mut(8).zip(offsets) {
+        slot.copy_from_slice(&(o as u64).to_le_bytes());
+    }
+    for (&(_, elems), &(_, _, offset, _)) in words.iter().zip(&records[1..]) {
+        for (slot, e) in out[offset..].chunks_exact_mut(4).zip(elems) {
+            slot.copy_from_slice(&e.to_le_bytes());
         }
     }
+    let checksum = fnv1a(&out);
+    put(&mut out, 48, checksum.to_le_bytes());
+    out
+}
 
-    /// Adds (or replaces) a section by id.
-    pub fn push_section(&mut self, id: u32, data: SectionData) {
-        self.sections.retain(|(existing, _)| *existing != id);
-        self.sections.push((id, data));
+/// Reads just the fixed header: magic, version, promised length,
+/// fingerprint, counts. Cheap enough to run over a whole directory at
+/// boot. This is the ladder's first rung; it does **not** verify the
+/// checksum.
+pub fn peek(bytes: &[u8]) -> Result<SnapshotInfo, String> {
+    if bytes.len() < HEADER_LEN {
+        return Err(format!(
+            "file too short for a snapshot header ({} bytes)",
+            bytes.len()
+        ));
+    }
+    if bytes[0..4] != MAGIC {
+        return Err("bad magic (not an .lmcs file)".into());
+    }
+    let version = u32_at(bytes, 4);
+    if version != VERSION {
+        return Err(format!("unsupported snapshot version {version}"));
+    }
+    Ok(SnapshotInfo {
+        file_len: u64_at(bytes, 8),
+        fingerprint: u64_at(bytes, 16),
+        n: u64_at(bytes, 24),
+        m2: u64_at(bytes, 32),
+    })
+}
+
+/// The validation ladder every reader runs, in order: header, exact
+/// length, whole-file checksum, section table, CSR structure, content
+/// fingerprint, decomposition shape. On success the bytes hold exactly
+/// what [`encode`] wrote for some graph and its decomposition.
+pub fn validate(bytes: &[u8]) -> Result<Layout, String> {
+    // 1. Header.
+    let info = peek(bytes)?;
+    // 2. Exact length: truncation or padding.
+    if info.file_len != bytes.len() as u64 {
+        return Err(format!(
+            "truncated or padded snapshot: header promises {} bytes, file has {}",
+            info.file_len,
+            bytes.len()
+        ));
+    }
+    let n = usize::try_from(info.n).map_err(|_| "vertex count overflows usize")?;
+    let m2 = usize::try_from(info.m2).map_err(|_| "target count overflows usize")?;
+
+    // 3. Checksum over the whole file with its own field read as zeroes,
+    // hashed in three spans so a multi-GB buffer is never copied.
+    let stored_checksum = u64_at(bytes, 48);
+    let computed = fnv1a_update(fnv1a_update(fnv1a(&bytes[..48]), &[0u8; 8]), &bytes[56..]);
+    if computed != stored_checksum {
+        return Err(format!(
+            "checksum mismatch: stored {stored_checksum:016x}, computed {computed:016x}"
+        ));
     }
 
-    /// The section with this id, if present.
-    pub fn section(&self, id: u32) -> Option<&SectionData> {
-        self.sections
-            .iter()
-            .find(|(existing, _)| *existing == id)
-            .map(|(_, d)| d)
+    // 4. Section table. Every record is bounds-checked; records with ids
+    // this version does not know are then skipped.
+    let section_count = u32_at(bytes, 40) as usize;
+    let table_end = section_count
+        .checked_mul(SECTION_RECORD_LEN)
+        .and_then(|len| len.checked_add(HEADER_LEN))
+        .ok_or("section table overflow")?;
+    if table_end > bytes.len() {
+        return Err("section table extends past end of file".into());
     }
-
-    /// A `u32` section's payload, if present with that element width.
-    pub fn u32_section(&self, id: u32) -> Option<&[u32]> {
-        match self.section(id) {
-            Some(SectionData::U32(v)) => Some(v),
-            _ => None,
+    let mut ids = Vec::with_capacity(section_count);
+    let mut known: [Option<Span>; 4] = [None; 4];
+    for i in 0..section_count {
+        let at = HEADER_LEN + i * SECTION_RECORD_LEN;
+        let id = u32_at(bytes, at);
+        let width = u32_at(bytes, at + 4);
+        // Values past usize fail the overflow and bounds checks below.
+        let offset = usize::try_from(u64_at(bytes, at + 8)).unwrap_or(usize::MAX);
+        let count = usize::try_from(u64_at(bytes, at + 16)).unwrap_or(usize::MAX);
+        if width != 4 && width != 8 {
+            return Err(format!("section {id}: unsupported element width {width}"));
         }
-    }
-
-    /// A `u64` section's payload, if present with that element width.
-    pub fn u64_section(&self, id: u32) -> Option<&[u64]> {
-        match self.section(id) {
-            Some(SectionData::U64(v)) => Some(v),
-            _ => None,
+        if !offset.is_multiple_of(8) {
+            return Err(format!("section {id}: payload not 8-byte aligned"));
         }
-    }
-
-    /// Reconstructs the CSR graph, validating structure (monotone offsets,
-    /// in-range targets) and re-fingerprinting against the header value, so
-    /// corruption that slipped past the checksum still cannot produce a
-    /// silently wrong graph.
-    pub fn graph(&self) -> Result<CsrGraph, String> {
-        let offsets_raw = self
-            .u64_section(SEC_OFFSETS)
-            .ok_or("snapshot has no offsets section")?;
-        let targets = self
-            .u32_section(SEC_TARGETS)
-            .ok_or("snapshot has no targets section")?;
-        if offsets_raw.len() as u64 != self.n + 1 {
+        let end = count
+            .checked_mul(width as usize)
+            .ok_or_else(|| format!("section {id}: length overflow"))?
+            .checked_add(offset)
+            .ok_or_else(|| format!("section {id}: extent overflow"))?;
+        if offset < table_end || end > bytes.len() {
+            return Err(format!("section {id}: payload out of bounds"));
+        }
+        if ids.contains(&id) {
+            return Err(format!("duplicate section id {id}"));
+        }
+        ids.push(id);
+        let want = match id {
+            SEC_OFFSETS => 8,
+            SEC_TARGETS | SEC_CORENESS | SEC_PEEL_ORDER => 4,
+            _ => continue,
+        };
+        if width != want {
             return Err(format!(
-                "offsets section has {} entries, expected n+1 = {}",
-                offsets_raw.len(),
-                self.n + 1
+                "section {id}: element width {width}, expected {want}"
             ));
         }
-        if targets.len() as u64 != self.m2 {
-            return Err(format!(
-                "targets section has {} entries, header says {}",
-                targets.len(),
-                self.m2
-            ));
-        }
-        let mut offsets = Vec::with_capacity(offsets_raw.len());
-        for &o in offsets_raw {
-            if o > targets.len() as u64 {
-                return Err(format!("offset {o} exceeds targets length"));
-            }
-            offsets.push(o as usize);
-        }
-        if offsets.first() != Some(&0) || offsets.last() != Some(&targets.len()) {
-            return Err("offsets do not span the targets array".into());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets are not monotone".into());
-        }
-        let n = offsets.len() - 1;
-        if targets.iter().any(|&t| (t as usize) >= n) && n > 0 {
-            return Err("target vertex out of range".into());
-        }
-        if n == 0 && !targets.is_empty() {
-            return Err("targets present in an empty graph".into());
-        }
-        let g = CsrGraph::from_parts(offsets, targets.to_vec());
-        let fp = g.fingerprint();
-        if fp != self.fingerprint {
-            return Err(format!(
-                "content fingerprint mismatch: stored {:016x}, decoded {fp:016x}",
-                self.fingerprint
-            ));
-        }
-        Ok(g)
+        known[id as usize - 1] = Some(Span { offset, count });
+    }
+    let [offsets, targets, coreness, peel_order] = known;
+
+    // 5. CSR structure.
+    let offsets = offsets.ok_or("snapshot has no offsets section")?;
+    let targets = targets.ok_or("snapshot has no targets section")?;
+    if offsets.count.checked_sub(1) != Some(n) {
+        return Err(format!(
+            "offsets section has {} entries for {n} vertices",
+            offsets.count
+        ));
+    }
+    if targets.count != m2 {
+        return Err(format!(
+            "targets section has {} entries, header says {m2}",
+            targets.count
+        ));
+    }
+    let offs = u64s(bytes, offsets);
+    if offs.clone().next() != Some(0) || offs.clone().next_back() != Some(m2 as u64) {
+        return Err("offsets do not span the targets array".into());
+    }
+    if offs.clone().zip(offs.clone().skip(1)).any(|(a, b)| a > b) {
+        return Err("offsets are not monotone".into());
+    }
+    if u32s(bytes, targets).any(|t| t as usize >= n) {
+        return Err("target vertex out of range".into());
     }
 
-    /// Serializes to the `.lmcs` byte layout (header, section table,
-    /// 8-byte-aligned payloads, checksum patched into the header).
-    pub fn encode(&self) -> Vec<u8> {
-        let table_len = self.sections.len() * SECTION_RECORD_LEN;
-        let mut payload_offset = align8(HEADER_LEN + table_len);
-        let mut records = Vec::with_capacity(self.sections.len());
-        for (id, data) in &self.sections {
-            records.push((
-                *id,
-                data.elem_width(),
-                payload_offset as u64,
-                data.elem_count(),
-            ));
-            payload_offset = align8(payload_offset + data.byte_len());
-        }
-        let file_len = payload_offset;
-
-        let mut out = vec![0u8; file_len];
-        out[0..4].copy_from_slice(&MAGIC);
-        out[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        out[8..16].copy_from_slice(&(file_len as u64).to_le_bytes());
-        out[16..24].copy_from_slice(&self.fingerprint.to_le_bytes());
-        out[24..32].copy_from_slice(&self.n.to_le_bytes());
-        out[32..40].copy_from_slice(&self.m2.to_le_bytes());
-        out[40..44].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        // out[44..48] reserved, zero. out[48..56] is the checksum slot,
-        // zero while hashing. out[56..64] reserved, zero.
-        for (i, (id, width, offset, count)) in records.iter().enumerate() {
-            let at = HEADER_LEN + i * SECTION_RECORD_LEN;
-            out[at..at + 4].copy_from_slice(&id.to_le_bytes());
-            out[at + 4..at + 8].copy_from_slice(&width.to_le_bytes());
-            out[at + 8..at + 16].copy_from_slice(&offset.to_le_bytes());
-            out[at + 16..at + 24].copy_from_slice(&count.to_le_bytes());
-        }
-        for ((_, data), (_, _, offset, _)) in self.sections.iter().zip(&records) {
-            let mut at = *offset as usize;
-            match data {
-                SectionData::U32(v) => {
-                    for x in v {
-                        out[at..at + 4].copy_from_slice(&x.to_le_bytes());
-                        at += 4;
-                    }
-                }
-                SectionData::U64(v) => {
-                    for x in v {
-                        out[at..at + 8].copy_from_slice(&x.to_le_bytes());
-                        at += 8;
-                    }
-                }
-            }
-        }
-        let checksum = fnv1a(&out);
-        out[48..56].copy_from_slice(&checksum.to_le_bytes());
-        out
+    // 6. Content fingerprint, recomputed over the stored arrays.
+    let degrees = offs.clone().zip(offs.skip(1)).map(|(a, b)| b - a);
+    let fp = crate::csr::content_fingerprint(n, degrees, u32s(bytes, targets));
+    if fp != info.fingerprint {
+        return Err(format!(
+            "content fingerprint mismatch: stored {:016x}, decoded {fp:016x}",
+            info.fingerprint
+        ));
     }
 
-    /// Reads just the fixed header: magic, version, promised length,
-    /// fingerprint, counts. Cheap enough to run over a whole directory at
-    /// boot. Does **not** verify the checksum — that happens on full
-    /// [`Snapshot::decode`].
-    pub fn peek(bytes: &[u8]) -> Result<SnapshotInfo, String> {
-        if bytes.len() < HEADER_LEN {
-            return Err(format!(
-                "file too short for a snapshot header ({} bytes)",
-                bytes.len()
-            ));
-        }
-        if bytes[0..4] != MAGIC {
-            return Err("bad magic (not an .lmcs file)".into());
-        }
-        let version = u32_at(bytes, 4);
-        if version != VERSION {
-            return Err(format!("unsupported snapshot version {version}"));
-        }
-        Ok(SnapshotInfo {
-            version,
-            file_len: u64_at(bytes, 8),
-            fingerprint: u64_at(bytes, 16),
-            n: u64_at(bytes, 24),
-            m2: u64_at(bytes, 32),
-        })
+    // 7. Decomposition: coreness per vertex, peel order a permutation.
+    let coreness = coreness.ok_or("snapshot has no coreness section")?;
+    if coreness.count != n {
+        return Err(format!(
+            "coreness section has {} entries for {n} vertices",
+            coreness.count
+        ));
     }
-
-    /// Full decode with corruption detection: exact-length check,
-    /// whole-file checksum, bounds- and alignment-checked section table.
-    pub fn decode(bytes: &[u8]) -> Result<Snapshot, String> {
-        let info = Snapshot::peek(bytes)?;
-        if info.file_len != bytes.len() as u64 {
+    if let Some(span) = peel_order {
+        if span.count != n {
             return Err(format!(
-                "truncated or padded snapshot: header promises {} bytes, file has {}",
-                info.file_len,
-                bytes.len()
+                "peel order has {} entries for {n} vertices",
+                span.count
             ));
         }
-        let stored_checksum = u64_at(bytes, 48);
-        // Hash the file with the checksum field as zeroes, without copying
-        // the (possibly multi-GB) buffer: three spans, eight literal zeros.
-        let computed = fnv1a_update(fnv1a_update(fnv1a(&bytes[..48]), &[0u8; 8]), &bytes[56..]);
-        if computed != stored_checksum {
-            return Err(format!(
-                "checksum mismatch: stored {stored_checksum:016x}, computed {computed:016x}"
-            ));
-        }
-        let section_count = u32_at(bytes, 40) as usize;
-        let table_end = HEADER_LEN
-            .checked_add(
-                section_count
-                    .checked_mul(SECTION_RECORD_LEN)
-                    .ok_or("section table overflow")?,
-            )
-            .ok_or("section table overflow")?;
-        if table_end > bytes.len() {
-            return Err("section table extends past end of file".into());
-        }
-        let mut sections = Vec::with_capacity(section_count);
-        for i in 0..section_count {
-            let at = HEADER_LEN + i * SECTION_RECORD_LEN;
-            let id = u32_at(bytes, at);
-            let width = u32_at(bytes, at + 4);
-            let offset = u64_at(bytes, at + 8) as usize;
-            let count = u64_at(bytes, at + 16) as usize;
-            if width != 4 && width != 8 {
-                return Err(format!("section {id}: unsupported element width {width}"));
-            }
-            if !offset.is_multiple_of(8) {
-                return Err(format!("section {id}: payload not 8-byte aligned"));
-            }
-            let byte_len = count
-                .checked_mul(width as usize)
-                .ok_or_else(|| format!("section {id}: length overflow"))?;
-            let end = offset
-                .checked_add(byte_len)
-                .ok_or_else(|| format!("section {id}: extent overflow"))?;
-            if offset < table_end || end > bytes.len() {
-                return Err(format!("section {id}: payload out of bounds"));
-            }
-            let data = if width == 4 {
-                SectionData::U32((0..count).map(|j| u32_at(bytes, offset + j * 4)).collect())
-            } else {
-                SectionData::U64((0..count).map(|j| u64_at(bytes, offset + j * 8)).collect())
+        let mut seen = vec![false; n];
+        for v in u32s(bytes, span) {
+            let Some(slot) = seen.get_mut(v as usize) else {
+                return Err(format!("peel order names out-of-range vertex {v}"));
             };
-            if sections.iter().any(|(existing, _)| *existing == id) {
-                return Err(format!("duplicate section id {id}"));
+            if std::mem::replace(slot, true) {
+                return Err(format!("peel order repeats vertex {v}"));
             }
-            sections.push((id, data));
         }
-        Ok(Snapshot {
-            fingerprint: info.fingerprint,
-            n: info.n,
-            m2: info.m2,
-            sections,
-        })
     }
+    Ok(Layout {
+        fingerprint: info.fingerprint,
+        n,
+        m2,
+        degeneracy: u32s(bytes, coreness).max().unwrap_or(0),
+        offsets,
+        targets,
+        coreness,
+        peel_order,
+    })
+}
+
+/// The heap reader: runs [`validate`], then copies each section once into
+/// owned arrays.
+pub fn decode(bytes: &[u8]) -> Result<Decoded, String> {
+    let layout = validate(bytes)?;
+    let offsets = u64s(bytes, layout.offsets).map(|o| o as usize).collect();
+    let targets = u32s(bytes, layout.targets).collect();
+    Ok(Decoded {
+        graph: CsrGraph::from_parts(offsets, targets),
+        fingerprint: layout.fingerprint,
+        coreness: u32s(bytes, layout.coreness).collect(),
+        degeneracy: layout.degeneracy,
+        peel_order: layout
+            .peel_order
+            .map_or_else(Vec::new, |span| u32s(bytes, span).collect()),
+    })
 }
 
 fn align8(x: usize) -> usize {
     (x + 7) & !7
+}
+
+fn put<const W: usize>(out: &mut [u8], at: usize, field: [u8; W]) {
+    out[at..at + W].copy_from_slice(&field);
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
@@ -375,14 +355,27 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-/// FNV-1a over a byte stream — the same family as
-/// [`CsrGraph::fingerprint`], applied bytewise.
+/// The elements of a bounds-checked `u32` section.
+fn u32s(bytes: &[u8], span: Span) -> impl DoubleEndedIterator<Item = u32> + Clone + '_ {
+    let (elems, _) = bytes[span.offset..span.offset + 4 * span.count].as_chunks::<4>();
+    elems.iter().map(|&e| u32::from_le_bytes(e))
+}
+
+/// The elements of a bounds-checked `u64` section.
+fn u64s(bytes: &[u8], span: Span) -> impl DoubleEndedIterator<Item = u64> + Clone + '_ {
+    let (elems, _) = bytes[span.offset..span.offset + 8 * span.count].as_chunks::<8>();
+    elems.iter().map(|&e| u64::from_le_bytes(e))
+}
+
+/// FNV-1a over a byte stream: the snapshot checksum, and (through
+/// `fnv1a_update`) the mixer behind [`CsrGraph::fingerprint`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(0xcbf2_9ce4_8422_2325, bytes)
 }
 
 /// Continues an FNV-1a hash over another span (for hashing a file in
 /// pieces, e.g. skipping the checksum field without copying the buffer).
+#[inline]
 pub(crate) fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -434,6 +427,41 @@ mod tests {
     use super::*;
     use crate::gen;
 
+    /// A stand-in decomposition: the ladder checks its shape, not its
+    /// values.
+    fn encode_plain(g: &CsrGraph) -> Vec<u8> {
+        let n = g.num_vertices() as u32;
+        let coreness: Vec<u32> = (0..n).map(|v| v % 3).collect();
+        let peel_order: Vec<u32> = (0..n).rev().collect();
+        encode(g, &coreness, &peel_order)
+    }
+
+    /// `bytes` with `patch` applied and the checksum resealed, so only the
+    /// rungs after the checksum can reject it.
+    fn resealed(bytes: &[u8], patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        patch(&mut b);
+        b[48..56].fill(0);
+        let c = fnv1a(&b);
+        b[48..56].copy_from_slice(&c.to_le_bytes());
+        b
+    }
+
+    /// Byte offset of table record `i`'s payload.
+    fn payload_of(bytes: &[u8], i: usize) -> usize {
+        u64_at(bytes, HEADER_LEN + i * SECTION_RECORD_LEN + 8) as usize
+    }
+
+    /// `bytes` with table record `i`, which holds section `id`, renumbered
+    /// to an id this version does not know.
+    fn renumbered(bytes: &[u8], i: usize, id: u32) -> Vec<u8> {
+        resealed(bytes, |b| {
+            let at = HEADER_LEN + i * SECTION_RECORD_LEN;
+            assert_eq!(u32_at(b, at), id);
+            put(b, at, 99u32.to_le_bytes());
+        })
+    }
+
     #[test]
     fn round_trip_preserves_graph_and_fingerprint() {
         for g in [
@@ -443,42 +471,51 @@ mod tests {
             CsrGraph::empty(5),
             gen::path(2),
         ] {
-            let snap = Snapshot::from_graph(&g);
-            let bytes = snap.encode();
-            let back = Snapshot::decode(&bytes).expect("decode");
+            let n = g.num_vertices() as u32;
+            let coreness: Vec<u32> = (0..n).map(|v| v % 3).collect();
+            let back = decode(&encode_plain(&g)).expect("decode");
+            assert_eq!(back.graph, g);
             assert_eq!(back.fingerprint, g.fingerprint());
-            let h = back.graph().expect("graph");
-            assert_eq!(h, g);
+            assert_eq!(back.coreness, coreness);
+            assert_eq!(back.degeneracy, coreness.iter().copied().max().unwrap_or(0));
+            assert_eq!(back.peel_order, (0..n).rev().collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn extra_sections_survive_round_trip() {
+        // An empty peel order is omitted, and reads back empty.
         let g = gen::cycle(10);
-        let mut snap = Snapshot::from_graph(&g);
-        snap.push_section(SEC_CORENESS, SectionData::U32(vec![2; 10]));
-        snap.push_section(99, SectionData::U64(vec![7, 8, 9]));
-        let back = Snapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(back.u32_section(SEC_CORENESS), Some(&[2u32; 10][..]));
-        assert_eq!(back.u64_section(99), Some(&[7u64, 8, 9][..]));
-        assert!(back.u32_section(99).is_none(), "width-typed accessors");
+        let bytes = encode(&g, &[2; 10], &[]);
+        assert_eq!(u32_at(&bytes, 40), 3, "offsets, targets, coreness");
+        let layout = validate(&bytes).unwrap();
+        assert_eq!(layout.peel_order, None);
+        assert_eq!(layout.degeneracy, 2);
+        assert!(decode(&bytes).unwrap().peel_order.is_empty());
     }
 
     #[test]
-    fn push_section_replaces_same_id() {
-        let g = gen::path(4);
-        let mut snap = Snapshot::from_graph(&g);
-        snap.push_section(SEC_CORENESS, SectionData::U32(vec![1; 4]));
-        snap.push_section(SEC_CORENESS, SectionData::U32(vec![2; 4]));
-        assert_eq!(snap.u32_section(SEC_CORENESS), Some(&[2u32; 4][..]));
+    fn unknown_section_ids_are_skipped() {
+        // Renumber the peel-order section to an id this version does not
+        // know: the record is still bounds-checked, then ignored.
+        let g = gen::planted_clique(40, 0.1, 5, 2);
+        let unknown = renumbered(&encode_plain(&g), 3, SEC_PEEL_ORDER);
+        let layout = validate(&unknown).expect("unknown ids are skipped");
+        assert_eq!(layout.peel_order, None);
+        let back = decode(&unknown).unwrap();
+        assert_eq!(back.graph, g);
+        assert!(back.peel_order.is_empty());
+        // An unknown record is bounds-checked all the same.
+        let hostile = resealed(&unknown, |b| {
+            put(
+                b,
+                HEADER_LEN + 3 * SECTION_RECORD_LEN + 8,
+                (1u64 << 40).to_le_bytes(),
+            );
+        });
+        assert!(validate(&hostile).unwrap_err().contains("out of bounds"));
     }
 
     #[test]
     fn sections_are_aligned_and_header_is_fixed() {
         let g = gen::planted_clique(33, 0.1, 5, 1); // odd sizes → padding
-        let mut snap = Snapshot::from_graph(&g);
-        snap.push_section(SEC_CORENESS, SectionData::U32(vec![0; 33]));
-        let bytes = snap.encode();
+        let bytes = encode(&g, &[0; 33], &[]);
         assert_eq!(&bytes[0..4], b"LMCS");
         assert_eq!(bytes.len() % 8, 0);
         let count = u32_at(&bytes, 40) as usize;
@@ -490,7 +527,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let bytes = Snapshot::from_graph(&gen::complete(8)).encode();
+        let bytes = encode_plain(&gen::complete(8));
         for cut in [
             0,
             10,
@@ -500,25 +537,25 @@ mod tests {
             bytes.len() - 1,
         ] {
             assert!(
-                Snapshot::decode(&bytes[..cut]).is_err(),
+                validate(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }
         // Padding (extra bytes) is also rejected.
         let mut padded = bytes.clone();
         padded.extend_from_slice(&[0; 8]);
-        assert!(Snapshot::decode(&padded).is_err());
+        assert!(validate(&padded).is_err());
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let bytes = Snapshot::from_graph(&gen::planted_clique(40, 0.1, 5, 2)).encode();
+        let bytes = encode_plain(&gen::planted_clique(40, 0.1, 5, 2));
         // Exhaustive over the whole file: header, table, payload, padding.
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
             assert!(
-                Snapshot::decode(&corrupt).is_err(),
+                validate(&corrupt).is_err(),
                 "flip at byte {i} went undetected"
             );
         }
@@ -527,33 +564,24 @@ mod tests {
     #[test]
     fn peek_reads_header_only() {
         let g = gen::planted_clique(50, 0.1, 6, 4);
-        let bytes = Snapshot::from_graph(&g).encode();
-        let info = Snapshot::peek(&bytes[..HEADER_LEN]).unwrap();
-        assert_eq!(info.version, VERSION);
+        let bytes = encode_plain(&g);
+        let info = peek(&bytes[..HEADER_LEN]).unwrap();
         assert_eq!(info.fingerprint, g.fingerprint());
         assert_eq!(info.n, 50);
         assert_eq!(info.m2, 2 * g.num_edges() as u64);
         assert_eq!(info.file_len, bytes.len() as u64);
-        assert!(Snapshot::peek(b"nope").is_err());
+        assert!(peek(b"nope").is_err());
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 99;
-        assert!(Snapshot::peek(&wrong_version).is_err());
+        assert!(peek(&wrong_version).is_err());
     }
 
     #[test]
     fn hostile_section_tables_do_not_panic() {
-        let g = gen::path(6);
-        let base = Snapshot::from_graph(&g).encode();
+        let base = encode_plain(&gen::path(6));
         // Corrupt the table in targeted ways, re-patching the checksum so
         // only the structural validation can catch it.
-        let rewrite = |f: &mut dyn FnMut(&mut Vec<u8>)| {
-            let mut b = base.clone();
-            f(&mut b);
-            b[48..56].fill(0);
-            let c = fnv1a(&b);
-            b[48..56].copy_from_slice(&c.to_le_bytes());
-            Snapshot::decode(&b)
-        };
+        let rewrite = |f: &mut dyn FnMut(&mut Vec<u8>)| validate(&resealed(&base, f));
         // Section offset pointing past the end.
         assert!(rewrite(&mut |b| {
             let at = HEADER_LEN + 8;
@@ -582,22 +610,51 @@ mod tests {
     }
 
     #[test]
-    fn graph_rejects_structurally_bad_sections() {
-        let g = gen::path(4);
-        // Offsets not spanning targets.
-        let mut snap = Snapshot::from_graph(&g);
-        snap.push_section(SEC_OFFSETS, SectionData::U64(vec![0, 1, 2, 3, 4]));
-        assert!(snap.graph().is_err());
-        // Out-of-range target.
-        let mut snap = Snapshot::from_graph(&g);
-        let mut targets = snap.u32_section(SEC_TARGETS).unwrap().to_vec();
-        targets[0] = 1000;
-        snap.push_section(SEC_TARGETS, SectionData::U32(targets));
-        assert!(snap.graph().is_err());
-        // Fingerprint mismatch.
-        let mut snap = Snapshot::from_graph(&g);
-        snap.fingerprint ^= 1;
-        assert!(snap.graph().is_err());
+    fn ladder_rejects_structurally_bad_sections() {
+        let base = encode_plain(&gen::path(4));
+        let rejects = |patch: &dyn Fn(&mut Vec<u8>), why: &str| {
+            let err = validate(&resealed(&base, patch)).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        };
+        let (offsets_at, targets_at) = (payload_of(&base, 0), payload_of(&base, 1));
+        // Offsets [0, 1, 2, 3, 4], not spanning the 6 targets.
+        rejects(
+            &|b| (0..5).for_each(|i| put(b, offsets_at + 8 * i, (i as u64).to_le_bytes())),
+            "offsets do not span",
+        );
+        rejects(
+            &|b| put(b, targets_at, 1000u32.to_le_bytes()),
+            "target vertex out of range",
+        );
+        rejects(&|b| b[16] ^= 1, "content fingerprint mismatch");
+    }
+
+    #[test]
+    fn ladder_rejects_malformed_decompositions() {
+        let g = gen::complete(5);
+        let coreness = [4; 5];
+        let peel = [0, 1, 2, 3, 4];
+        let rejects = |bytes: Vec<u8>, why: &str| {
+            let err = validate(&bytes).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        };
+        // Missing coreness: its record renumbered to an unknown id.
+        let no_coreness = renumbered(&encode(&g, &coreness, &peel), 2, SEC_CORENESS);
+        rejects(no_coreness, "no coreness section");
+        rejects(encode(&g, &[1, 2], &peel), "coreness section has 2 entries");
+        rejects(
+            encode(&g, &coreness, &[0, 0, 1, 2, 3]),
+            "peel order repeats vertex",
+        );
+        rejects(
+            encode(&g, &coreness, &[0, 1, 2, 3, 99]),
+            "out-of-range vertex 99",
+        );
+        // Degeneracy is recomputed, not trusted.
+        assert_eq!(
+            validate(&encode(&g, &coreness, &peel)).unwrap().degeneracy,
+            4
+        );
     }
 
     #[test]

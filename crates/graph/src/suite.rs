@@ -1,7 +1,7 @@
 //! The named benchmark suite.
 //!
 //! Each instance is a deterministic synthetic stand-in for one *class* of
-//! the paper's 28 datasets (see DESIGN.md §4 for the mapping). Two scales
+//! the paper's 28 datasets. Two scales
 //! are provided: [`Scale::Test`] keeps every instance solvable in
 //! milliseconds for integration tests; [`Scale::Standard`] is the size used
 //! by the experiment binaries regenerating the paper's tables and figures.

@@ -1,8 +1,8 @@
-//! Property tests for the `.lmcs` snapshot container: `decode ∘ encode`
+//! Property tests for the `.lmcs` snapshot format: `decode ∘ encode`
 //! identity on arbitrary graphs (including the suite's synthetic régimes)
 //! and corruption rejection under random byte flips and truncations.
 
-use lazymc_graph::snapshot::{SectionData, Snapshot, SEC_CORENESS};
+use lazymc_graph::snapshot::{decode, encode, validate};
 use lazymc_graph::{gen, CsrGraph};
 use proptest::prelude::*;
 
@@ -20,39 +20,38 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     ]
 }
 
+/// A stand-in coreness array: the ladder checks its shape, not its values.
+fn coreness_of(g: &CsrGraph) -> Vec<u32> {
+    (0..g.num_vertices() as u32).map(|v| v % 7).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// encode ∘ decode is the identity on the graph, its fingerprint, and
-    /// any attached sections.
+    /// decode ∘ encode is the identity on the graph, its fingerprint, and
+    /// the stored coreness.
     #[test]
     fn round_trip_identity(g in arb_graph()) {
-        let n = g.num_vertices();
-        let mut snap = Snapshot::from_graph(&g);
-        let coreness: Vec<u32> = (0..n as u32).map(|v| v % 7).collect();
-        snap.push_section(SEC_CORENESS, SectionData::U32(coreness.clone()));
-        let bytes = snap.encode();
-        let back = Snapshot::decode(&bytes).expect("decode of a fresh encode");
+        let coreness = coreness_of(&g);
+        let bytes = encode(&g, &coreness, &[]);
+        let back = decode(&bytes).expect("decode of a fresh encode");
         prop_assert_eq!(back.fingerprint, g.fingerprint());
-        let h = back.graph().expect("graph reconstruction");
-        prop_assert_eq!(&h, &g);
-        prop_assert_eq!(back.u32_section(SEC_CORENESS), Some(&coreness[..]));
-        // Determinism: same snapshot, same bytes.
-        let mut again = Snapshot::from_graph(&g);
-        again.push_section(SEC_CORENESS, SectionData::U32(coreness));
-        prop_assert_eq!(&bytes, &again.encode());
+        prop_assert_eq!(&back.graph, &g);
+        prop_assert_eq!(&back.coreness, &coreness);
+        // Determinism: same inputs, same bytes.
+        prop_assert_eq!(&bytes, &encode(&g, &coreness, &[]));
     }
 
     /// Any single flipped byte is rejected, wherever it lands.
     #[test]
     fn flipped_byte_rejected(g in arb_graph(), at_frac in 0u64..1000, bit in 0u32..8) {
-        let bytes = Snapshot::from_graph(&g).encode();
+        let bytes = encode(&g, &coreness_of(&g), &[]);
         let at = (at_frac as usize * bytes.len()) / 1000;
         let at = at.min(bytes.len() - 1);
         let mut corrupt = bytes.clone();
         corrupt[at] ^= 1u8 << bit;
         prop_assert!(
-            Snapshot::decode(&corrupt).is_err(),
+            validate(&corrupt).is_err(),
             "flip of bit {} at byte {}/{} went undetected", bit, at, bytes.len()
         );
     }
@@ -60,9 +59,9 @@ proptest! {
     /// Any strict prefix is rejected as truncation.
     #[test]
     fn truncation_rejected(g in arb_graph(), cut_frac in 0u64..1000) {
-        let bytes = Snapshot::from_graph(&g).encode();
+        let bytes = encode(&g, &coreness_of(&g), &[]);
         let cut = (cut_frac as usize * bytes.len()) / 1000;
         let cut = cut.min(bytes.len() - 1);
-        prop_assert!(Snapshot::decode(&bytes[..cut]).is_err());
+        prop_assert!(validate(&bytes[..cut]).is_err());
     }
 }

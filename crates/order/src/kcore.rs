@@ -475,4 +475,41 @@ mod tests {
             kcore_sequential(&g).coreness
         );
     }
+
+    /// `kc` written into a snapshot of `g` and read back by the heap
+    /// reader.
+    fn through_snapshot(g: &CsrGraph, kc: &KCore) -> KCore {
+        use lazymc_graph::snapshot::{decode, encode};
+        let back = decode(&encode(g, &kc.coreness, &kc.peel_order)).expect("decode");
+        assert_eq!(&back.graph, g);
+        KCore {
+            coreness: back.coreness,
+            degeneracy: back.degeneracy,
+            peel_order: back.peel_order,
+        }
+    }
+
+    #[test]
+    fn kcore_round_trips_through_snapshot_bytes() {
+        for seed in 0..3 {
+            let g = gen::planted_clique(120, 0.06, 8, seed);
+            let kc = kcore_sequential(&g);
+            assert_eq!(through_snapshot(&g, &kc), kc, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn parallel_kcore_without_peel_order_round_trips() {
+        let g = gen::gnp(100, 0.08, 5);
+        let kc = kcore_parallel(&g);
+        assert!(kc.peel_order.is_empty());
+        assert_eq!(through_snapshot(&g, &kc), kc);
+    }
+
+    #[test]
+    fn empty_graph_round_trips() {
+        let g = CsrGraph::empty(0);
+        let kc = kcore_sequential(&g);
+        assert_eq!(through_snapshot(&g, &kc), kc);
+    }
 }

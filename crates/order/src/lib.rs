@@ -15,11 +15,13 @@
 //! * [`kcore::kcore_with_floor`] — the paper's `KCore(G, |C*|)`: exact
 //!   coreness only for vertices that can matter given the incumbent;
 //! * [`sort::par_counting_sort_by_key`] — a parallel stable counting sort
-//!   standing in for SAPCo sort \[25\] (see DESIGN.md §7);
+//!   standing in for SAPCo sort \[25\];
 //! * [`relabel::VertexOrder`] — the (coreness asc, degree asc) relabelling
-//!   used throughout LazyMC;
-//! * [`snapshot`] — [`KCore`] serialization into `.lmcs` snapshot sections,
-//!   so a persisted graph reloads its decomposition instead of re-peeling.
+//!   used throughout LazyMC.
+//!
+//! A [`KCore`]'s coreness and peel order persist in `.lmcs` snapshots
+//! next to the graph (`lazymc_graph::snapshot`), so a reloaded graph
+//! reuses its decomposition instead of re-peeling.
 //!
 //! ```
 //! use lazymc_graph::gen;
@@ -37,10 +39,8 @@
 
 pub mod kcore;
 pub mod relabel;
-pub mod snapshot;
 pub mod sort;
 
 pub use kcore::{kcore_parallel, kcore_sequential, kcore_with_floor, KCore, KCoreView};
 pub use relabel::{coreness_degree_order, VertexOrder};
-pub use snapshot::{embed_kcore, extract_kcore};
 pub use sort::par_counting_sort_by_key;

@@ -1,13 +1,15 @@
-//! Decoder parity for the zero-copy loader: `MappedSnapshot::map` must
-//! accept exactly the files that the heap pipeline (`Snapshot::decode` +
-//! `Snapshot::graph` + `extract_kcore`) accepts — and on acceptance the
-//! borrowed slices must be bit-identical to the decoded arrays. Probed
-//! under random single-byte flips and truncations, the same corruption
-//! model `crates/graph/tests/snapshot.rs` uses for the heap decoder.
+//! Reader parity: `MappedSnapshot::map` must accept exactly the files
+//! that the heap reader (`snapshot::decode`, behind
+//! `SnapshotStore::load` and `lazymc restore`) accepts — and on
+//! acceptance the borrowed slices must be bit-identical to the decoded
+//! arrays. Both run the one validation ladder, so this holds by
+//! construction; the properties keep it that way. Probed under random
+//! single-byte flips and truncations, the same corruption model
+//! `crates/graph/tests/snapshot.rs` uses for the ladder alone.
 
-use lazymc_graph::snapshot::{write_file_atomic, Snapshot};
+use lazymc_graph::snapshot::{decode, encode, write_file_atomic};
 use lazymc_graph::{gen, CsrGraph, GraphAccess, MappedSnapshot};
-use lazymc_order::{embed_kcore, extract_kcore, kcore_sequential};
+use lazymc_order::kcore_sequential;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,17 +38,7 @@ fn tmp_file(bytes: &[u8]) -> PathBuf {
 /// The full snapshot bytes the service persists: CSR + embedded k-core.
 fn full_snapshot_bytes(g: &CsrGraph) -> Vec<u8> {
     let kc = kcore_sequential(g);
-    let mut snap = Snapshot::from_graph(g);
-    embed_kcore(&mut snap, &kc);
-    snap.encode()
-}
-
-/// Whether the heap pipeline accepts these bytes end to end.
-fn decoder_accepts(bytes: &[u8]) -> bool {
-    let Ok(snap) = Snapshot::decode(bytes) else {
-        return false;
-    };
-    snap.graph().is_ok() && extract_kcore(&snap).is_ok()
+    encode(g, &kc.coreness, &kc.peel_order)
 }
 
 proptest! {
@@ -57,19 +49,26 @@ proptest! {
     #[test]
     fn mapped_slices_equal_decoded_arrays(g in arb_graph()) {
         let bytes = full_snapshot_bytes(&g);
-        prop_assert!(decoder_accepts(&bytes), "heap pipeline rejects its own encode");
+        let heap = decode(&bytes).expect("heap reader rejects its own encode");
+        prop_assert_eq!(&heap.graph, &g);
         let path = tmp_file(&bytes);
         let m = MappedSnapshot::map(&path).expect("map of a valid snapshot");
         let kc = kcore_sequential(&g);
         prop_assert_eq!(GraphAccess::num_vertices(&m), g.num_vertices());
         prop_assert_eq!(GraphAccess::num_edges(&m), g.num_edges());
         prop_assert_eq!(m.fingerprint(), g.fingerprint());
+        prop_assert_eq!(heap.fingerprint, g.fingerprint());
         for v in 0..g.num_vertices() as u32 {
             prop_assert_eq!(GraphAccess::neighbors(&m, v), g.neighbors(v));
         }
-        prop_assert_eq!(m.coreness(), Some(&kc.coreness[..]));
-        prop_assert_eq!(m.degeneracy(), kc.degeneracy);
-        prop_assert_eq!(m.peel_order(), &kc.peel_order[..]);
+        for (coreness, degeneracy, peel_order) in [
+            (m.coreness(), m.degeneracy(), m.peel_order()),
+            (&heap.coreness[..], heap.degeneracy, &heap.peel_order[..]),
+        ] {
+            prop_assert_eq!(coreness, &kc.coreness[..]);
+            prop_assert_eq!(degeneracy, kc.degeneracy);
+            prop_assert_eq!(peel_order, &kc.peel_order[..]);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -85,7 +84,7 @@ proptest! {
         corrupt[at] ^= 1u8 << bit;
         let path = tmp_file(&corrupt);
         let map_ok = MappedSnapshot::map(&path).is_ok();
-        let heap_ok = decoder_accepts(&corrupt);
+        let heap_ok = decode(&corrupt).is_ok();
         prop_assert_eq!(
             map_ok, heap_ok,
             "parity broke on bit {} of byte {}/{}", bit, at, bytes.len()
@@ -103,7 +102,7 @@ proptest! {
         let truncated = &bytes[..keep];
         let path = tmp_file(truncated);
         let map_ok = MappedSnapshot::map(&path).is_ok();
-        let heap_ok = decoder_accepts(truncated);
+        let heap_ok = decode(truncated).is_ok();
         prop_assert_eq!(map_ok, heap_ok, "truncation parity broke at {} bytes", keep);
         prop_assert!(!map_ok, "truncation to {} bytes went undetected", keep);
         let _ = std::fs::remove_file(&path);

@@ -9,16 +9,19 @@
 //! * **index scan at boot** — [`SnapshotStore::open`] reads only the fixed
 //!   64-byte header of each file to learn names, fingerprints and sizes;
 //!   payloads stay untouched until a graph is actually asked for;
-//! * **lazy reload** — [`SnapshotStore::load`] fully decodes (checksum,
-//!   structure, fingerprint) on the first `GET`/`POST /solve` after boot;
+//! * **lazy reload** — on the first `GET`/`POST /solve` after boot,
+//!   [`SnapshotStore::load`] (heap) or [`SnapshotStore::load_mapped`]
+//!   (zero-copy) runs the format's one validation ladder,
+//!   [`snapshot::validate`]; the scrubber's [`SnapshotStore::verify`]
+//!   runs it alone;
 //! * **quarantine, never crash** — a file that fails any validation is
 //!   renamed to `<file>.corrupt` with a warning on stderr and dropped from
 //!   the index; the daemon keeps serving.
 
 use crate::plock;
-use lazymc_graph::snapshot::{write_file_atomic, Snapshot};
+use lazymc_graph::snapshot::{self, write_file_atomic};
 use lazymc_graph::{CsrGraph, MappedSnapshot};
-use lazymc_order::{embed_kcore, extract_kcore, KCore};
+use lazymc_order::KCore;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,14 +136,14 @@ impl SnapshotStore {
                 continue;
             };
             let Ok(meta) = entry.metadata() else { continue };
-            let header = match read_prefix(&path, lazymc_graph::snapshot::HEADER_LEN) {
+            let header = match read_prefix(&path, snapshot::HEADER_LEN) {
                 Ok(h) => h,
                 Err(e) => {
                     self.quarantine(&path, &format!("unreadable header: {e}"));
                     continue;
                 }
             };
-            match Snapshot::peek(&header) {
+            match snapshot::peek(&header) {
                 Ok(info) if info.file_len == meta.len() => {
                     index.insert(
                         name,
@@ -206,16 +209,18 @@ impl SnapshotStore {
                 format!("graph name {name:?} is not persistable"),
             ));
         };
-        let mut snap = Snapshot::from_graph(graph);
-        embed_kcore(&mut snap, kcore);
-        let bytes = snap.encode();
+        let bytes = snapshot::encode(graph, &kcore.coreness, &kcore.peel_order);
+        // The writer fingerprinted the graph: read it back, not hash again.
+        let fingerprint = snapshot::peek(&bytes)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+            .fingerprint;
         lazymc_chaos::io_point!("persist.write");
         write_file_atomic(&self.path_of(name), &bytes)?;
         let len = bytes.len() as u64;
         plock(&self.index).insert(
             name.to_string(),
             IndexEntry {
-                fingerprint: snap.fingerprint,
+                fingerprint,
                 bytes: len,
             },
         );
@@ -223,80 +228,54 @@ impl SnapshotStore {
         Ok(len)
     }
 
-    /// Fully loads and validates the snapshot of `name`. Any failure
-    /// (missing file, checksum, structure, fingerprint, bad coreness)
-    /// quarantines the file and returns `None` — a load can only ever
-    /// produce a graph+decomposition pair that is exactly what was saved.
+    /// Fully loads and validates the snapshot of `name`, copying each
+    /// section once. Any failure (missing file, checksum, structure,
+    /// fingerprint, bad coreness) quarantines the file and returns `None`
+    /// — a load can only ever produce a graph+decomposition pair that is
+    /// exactly what was saved.
     pub fn load(&self, name: &str) -> Option<(CsrGraph, KCore, u64)> {
         if safe_name(name).is_none() || !self.contains(name) {
             return None;
         }
         let path = self.path_of(name);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                self.quarantine(&path, &format!("unreadable: {e}"));
-                plock(&self.index).remove(name);
-                return None;
-            }
+        let decoded = std::fs::read(&path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|bytes| snapshot::decode(&bytes));
+        let d = self.or_quarantine(name, &path, decoded)?;
+        self.lazy_loads.fetch_add(1, Ordering::Relaxed);
+        let kcore = KCore {
+            coreness: d.coreness,
+            degeneracy: d.degeneracy,
+            peel_order: d.peel_order,
         };
-        let decoded = Snapshot::decode(&bytes)
-            .and_then(|snap| Ok((snap.graph()?, extract_kcore(&snap)?, snap.fingerprint)));
-        match decoded {
-            Ok(loaded) => {
-                self.lazy_loads.fetch_add(1, Ordering::Relaxed);
-                Some(loaded)
-            }
-            Err(e) => {
-                self.quarantine(&path, &e);
-                plock(&self.index).remove(name);
-                None
-            }
-        }
+        Some((d.graph, kcore, d.fingerprint))
     }
 
-    /// Maps the snapshot of `name` zero-copy: the CSR arrays and embedded
-    /// k-core sections are validated in place (checksum, structure,
-    /// fingerprint — the same ladder [`SnapshotStore::load`] runs) and then
-    /// borrowed straight out of the read-only mapping. No heap decode
-    /// happens; the page cache backs every byte. Failure policy is
-    /// identical to `load`: the file is quarantined and de-indexed, so a
-    /// mapping can only ever expose exactly what was saved. A snapshot
-    /// without an embedded decomposition is rejected too — callers rely on
-    /// the mapped coreness/peel-order the same way heap loads rely on
-    /// [`extract_kcore`].
+    /// Maps the snapshot of `name` zero-copy: the same ladder
+    /// [`SnapshotStore::load`] runs validates the mapping in place, and
+    /// the CSR arrays and embedded k-core sections are then borrowed
+    /// straight out of it. No heap decode happens; the page cache backs
+    /// every byte. Failure policy is identical to `load`: the file is
+    /// quarantined and de-indexed, so a mapping can only ever expose
+    /// exactly what was saved.
     pub fn load_mapped(&self, name: &str) -> Option<MappedSnapshot> {
         if safe_name(name).is_none() || !self.contains(name) {
             return None;
         }
         let path = self.path_of(name);
-        let mapped = MappedSnapshot::map(&path).and_then(|m| {
-            if m.coreness().is_none() {
-                Err("snapshot has no coreness section".to_string())
-            } else {
-                Ok(m)
-            }
-        });
-        match mapped {
-            Ok(m) => {
-                self.mmap_loads.fetch_add(1, Ordering::Relaxed);
-                Some(m)
-            }
-            Err(e) => {
-                self.quarantine(&path, &e);
-                plock(&self.index).remove(name);
-                None
-            }
-        }
+        let mapped = self.or_quarantine(name, &path, MappedSnapshot::map(&path))?;
+        self.mmap_loads.fetch_add(1, Ordering::Relaxed);
+        Some(mapped)
     }
 
-    /// Integrity re-verification for the background scrubber: fully
-    /// decodes the on-disk snapshot of `name` — checksum, structure,
-    /// fingerprint, coreness — and discards the result. Bit-rot
-    /// quarantines the file exactly like a failed [`SnapshotStore::load`]
-    /// would, so a corrupt snapshot is pulled from the index *before*
-    /// any request tries to serve it. Returns `false` iff the file was
-    /// quarantined (a name removed meanwhile verifies vacuously).
+    /// Integrity re-verification for the background scrubber: runs the
+    /// ladder over the on-disk snapshot of `name` and builds nothing. It
+    /// reads the file rather than mapping it: a file truncated in place
+    /// under a mapping raises `SIGBUS`. Bit-rot quarantines the file
+    /// exactly like a failed [`SnapshotStore::load`] would, so a corrupt
+    /// snapshot leaves the index *before* any request tries to serve it.
+    /// Returns `false` iff the file was quarantined (a name removed
+    /// meanwhile verifies vacuously).
     pub fn verify(&self, name: &str) -> bool {
         if safe_name(name).is_none() || !self.contains(name) {
             return true;
@@ -304,18 +283,20 @@ impl SnapshotStore {
         let path = self.path_of(name);
         let checked = std::fs::read(&path)
             .map_err(|e| format!("unreadable: {e}"))
-            .and_then(|bytes| {
-                let snap = Snapshot::decode(&bytes)?;
-                snap.graph()?;
-                extract_kcore(&snap)?;
-                Ok(())
-            });
-        match checked {
-            Ok(()) => true,
+            .and_then(|bytes| snapshot::validate(&bytes))
+            .map_err(|e| format!("scrub: {e}"));
+        self.or_quarantine(name, &path, checked).is_some()
+    }
+
+    /// Passes `loaded` through; on `Err`, quarantines `path` and drops
+    /// `name` from the index.
+    fn or_quarantine<T>(&self, name: &str, path: &Path, loaded: Result<T, String>) -> Option<T> {
+        match loaded {
+            Ok(v) => Some(v),
             Err(e) => {
-                self.quarantine(&path, &format!("scrub: {e}"));
+                self.quarantine(path, &e);
                 plock(&self.index).remove(name);
-                false
+                None
             }
         }
     }

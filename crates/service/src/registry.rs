@@ -16,7 +16,7 @@
 use crate::health::Health;
 use crate::persist::SnapshotStore;
 use crate::plock;
-use lazymc_graph::{CsrGraph, GraphStore};
+use lazymc_graph::{CsrGraph, GraphStore, MappedSnapshot};
 use lazymc_order::{kcore_sequential, KCoreView};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,8 +32,16 @@ pub const DEFAULT_MMAP_THRESHOLD: u64 = 4 << 20;
 enum KCoreSource {
     /// Computed (upload) or decoded (heap reload) onto the heap.
     Owned(Arc<lazymc_order::KCore>),
-    /// Embedded in the mapped snapshot; views borrow from the mapping.
-    Embedded,
+    /// Embedded in the snapshot the graph is mapped from; views borrow
+    /// from that mapping.
+    Embedded(Arc<MappedSnapshot>),
+}
+
+/// A mapped graph and its decomposition, which borrows from the same
+/// mapping.
+fn mapped_resident(m: MappedSnapshot) -> (GraphStore, KCoreSource) {
+    let m = Arc::new(m);
+    (GraphStore::Mapped(m.clone()), KCoreSource::Embedded(m))
 }
 
 /// A resident graph with everything precomputed at load time.
@@ -66,19 +74,11 @@ impl GraphEntry {
     pub fn kcore_view(&self) -> KCoreView<'_> {
         match &self.kcore {
             KCoreSource::Owned(kc) => kc.view(),
-            KCoreSource::Embedded => {
-                let m = self
-                    .graph
-                    .as_mapped()
-                    .expect("embedded kcore implies a mapped store");
-                KCoreView {
-                    coreness: m
-                        .coreness()
-                        .expect("mapped entries are validated to carry coreness"),
-                    degeneracy: m.degeneracy(),
-                    peel_order: m.peel_order(),
-                }
-            }
+            KCoreSource::Embedded(m) => KCoreView {
+                coreness: m.coreness(),
+                degeneracy: m.degeneracy(),
+                peel_order: m.peel_order(),
+            },
         }
     }
 
@@ -241,24 +241,11 @@ impl Registry {
             .and(self.store.as_ref())
             .and_then(|store| store.load_mapped(name));
         let prep_ms = t.elapsed().as_millis() as u64;
-        let entry = match mapped {
-            Some(m) => self.install(
-                name,
-                GraphStore::Mapped(m),
-                KCoreSource::Embedded,
-                fingerprint,
-                prep_ms,
-                false,
-            ),
-            None => self.install(
-                name,
-                GraphStore::Heap(graph),
-                KCoreSource::Owned(Arc::new(kcore)),
-                fingerprint,
-                prep_ms,
-                false,
-            ),
+        let (graph, kcore) = match mapped {
+            Some(m) => mapped_resident(m),
+            None => (GraphStore::Heap(graph), KCoreSource::Owned(Arc::new(kcore))),
         };
+        let entry = self.install(name, graph, kcore, fingerprint, prep_ms, false);
         self.release_name_slot(name);
         entry
     }
@@ -383,7 +370,8 @@ impl Registry {
                 .and_then(|store| store.load_mapped(name))
                 .map(|m| {
                     let fingerprint = m.fingerprint();
-                    (GraphStore::Mapped(m), KCoreSource::Embedded, fingerprint)
+                    let (graph, kcore) = mapped_resident(m);
+                    (graph, kcore, fingerprint)
                 })
         } else {
             self.store.as_ref().and_then(|store| store.load(name)).map(
@@ -773,6 +761,7 @@ mod tests {
             held.graph.as_ref(),
             Some(held.kcore_view()),
             &deadline,
+            None,
         );
         assert!(r.is_exact());
         assert_eq!(r.size(), expected, "solve against evicted entry must agree");
@@ -819,6 +808,7 @@ mod tests {
             e.graph.as_ref(),
             Some(e.kcore_view()),
             &deadline,
+            None,
         );
         let expected = lazymc_core::LazyMc::new(lazymc_core::Config::default()).solve(&g);
         assert!(r.is_exact());

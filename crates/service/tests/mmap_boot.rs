@@ -8,9 +8,9 @@
 mod common;
 
 use common::{bool_field, u64_field, Client};
-use lazymc_graph::snapshot::{write_file_atomic, Snapshot};
+use lazymc_graph::snapshot::{encode, write_file_atomic};
 use lazymc_graph::{gen, CsrGraph};
-use lazymc_order::{embed_kcore, kcore_sequential};
+use lazymc_order::kcore_sequential;
 use lazymc_service::{serve, ServiceConfig};
 use std::path::{Path, PathBuf};
 
@@ -24,9 +24,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 fn seed_snapshot(dir: &Path, name: &str, g: &CsrGraph) {
     let kc = kcore_sequential(g);
-    let mut snap = Snapshot::from_graph(g);
-    embed_kcore(&mut snap, &kc);
-    write_file_atomic(&dir.join(format!("{name}.lmcs")), &snap.encode()).expect("seed snapshot");
+    let bytes = encode(g, &kc.coreness, &kc.peel_order);
+    write_file_atomic(&dir.join(format!("{name}.lmcs")), &bytes).expect("seed snapshot");
 }
 
 #[test]

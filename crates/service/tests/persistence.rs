@@ -214,9 +214,8 @@ fn preseeded_data_dir_serves_without_upload() {
     std::fs::create_dir_all(&dir).unwrap();
     let g = gen::planted_clique(100, 0.06, 9, 21);
     let kc = lazymc_order::kcore_sequential(&g);
-    let mut snap = lazymc_graph::snapshot::Snapshot::from_graph(&g);
-    lazymc_order::embed_kcore(&mut snap, &kc);
-    lazymc_graph::snapshot::write_file_atomic(&dir.join("seeded.lmcs"), &snap.encode()).unwrap();
+    let bytes = lazymc_graph::snapshot::encode(&g, &kc.coreness, &kc.peel_order);
+    lazymc_graph::snapshot::write_file_atomic(&dir.join("seeded.lmcs"), &bytes).unwrap();
 
     let handle = start(&dir, 8);
     let mut c = Client::connect(handle.addr());
