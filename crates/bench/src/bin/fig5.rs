@@ -4,6 +4,14 @@
 //! (b) disabling only the second exit of `intersect-size-gt-bool`,
 //! relative to the full configuration.
 //!
+//! The flags act only where the scalar intersection kernels run. Filter
+//! rounds and degree-heuristic descents whose candidate sets pass the bit
+//! path's gate (`lazymc_core`'s `bitrows` module: enough candidates, and
+//! in the filters enough slack over θ) count by popcount in every
+//! configuration. So on dense graphs, where most neighbourhoods take the
+//! bit path, the ratios measure the early exits on the remaining small
+//! sets only, and read closer to 1 than the paper's.
+//!
 //! Run: `cargo run -p lazymc-bench --release --bin fig5 [--test]`
 
 use lazymc_bench::cli::{ratio, CommonArgs};

@@ -178,6 +178,11 @@ pub fn solve(argv: &[String]) -> i32 {
             m.phases.coreness_heuristic,
             m.phases.systematic,
         );
+        // The systematic phase's work split, summed across threads.
+        println!(
+            "work filter {:?} | MC {:?} | k-VC {:?}",
+            m.filter_time, m.mc_time, m.kvc_time,
+        );
         println!(
             "search heuristics {}→{} | searched {} MC + {} k-VC of {} neighbourhoods considered",
             m.omega_degree_heuristic,

@@ -36,10 +36,15 @@ pub struct Config {
     /// to direct MC search. Paper §V-B uses 0.5; Fig. 6 sweeps it.
     pub density_threshold: f64,
     /// Enable the early-exit intersection kernels (Fig. 5 ablation: when
-    /// false, plain full intersections are used everywhere).
+    /// false, plain full intersections are used wherever the intersection
+    /// kernels run). Filter rounds and degree-heuristic descents over
+    /// candidate sets large enough for bit rows take popcounts instead,
+    /// which have nothing to exit early from; the choice between the two
+    /// depends on the input alone, never on this flag.
     pub early_exit: bool,
     /// Enable the *second* early exit of `intersect-size-gt-bool`
-    /// (Fig. 5 ablation).
+    /// (Fig. 5 ablation; like `early_exit`, it acts only where the scalar
+    /// filter kernels run).
     pub second_exit: bool,
     /// Lazy-graph pre-population policy (Fig. 4 ablation).
     pub prepopulate: PrePopulate,

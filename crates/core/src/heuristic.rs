@@ -6,8 +6,11 @@
 //! the candidate with the highest residual degree; the *coreness-based*
 //! search runs on the relabelled lazy graph and absorbs the
 //! highest-numbered (= highest-coreness) candidate. Both lean on the
-//! early-exit intersection kernels.
+//! early-exit intersection kernels; the degree-based descent swaps them
+//! for popcounts over bit rows when its first candidate set is large
+//! enough (`bitrows`), growing the same clique either way.
 
+use crate::bitrows::{self, RowBuilder, MAX_RETAINED_ARENA_BYTES};
 use crate::config::Config;
 use crate::incumbent::Incumbent;
 use lazymc_graph::{GraphAccess, VertexId};
@@ -16,28 +19,48 @@ use lazymc_intersect::{
     SortedSlice,
 };
 use lazymc_lazygraph::LazyGraph;
+use lazymc_solver::bitset::{BitMatrix, Bitset};
 use lazymc_solver::Pool;
 use rayon::prelude::*;
 
 /// Per-descent reusable buffers for the greedy heuristic searches: the
-/// candidate set, the clique under construction, and the intersection
-/// output. Pooled so the thousands of parallel descents reuse a handful
-/// of warmed allocations instead of allocating three vectors each.
+/// candidate set, the clique under construction, the intersection output,
+/// and the bit path's map, rows and live set. Pooled so the thousands of
+/// parallel descents reuse a handful of warmed allocations instead of
+/// allocating their own.
 #[derive(Default)]
 struct HeurScratch {
     cand: Vec<VertexId>,
     clique: Vec<VertexId>,
     tmp: Vec<VertexId>,
+    builder: RowBuilder,
+    rows: BitMatrix,
+    alive: Bitset,
 }
 
-static HEUR_SCRATCH: Pool<HeurScratch> = Pool::new();
+impl HeurScratch {
+    fn heap_bytes(&self) -> usize {
+        (self.cand.capacity() + self.clique.capacity() + self.tmp.capacity()) * 4
+            + self.builder.heap_bytes()
+            + self.rows.heap_bytes()
+            + self.alive.heap_bytes()
+    }
+}
+
+/// A hub's descent grows O(|cand|²/8)-byte rows; the same retention rule
+/// as the neighbourhood arenas keeps them from being pinned forever.
+static HEUR_SCRATCH: Pool<HeurScratch> =
+    Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_ARENA_BYTES);
 
 /// Degree-based heuristic search (paper Algorithm 5).
 ///
 /// Expands the `top_k` highest-degree vertices in parallel; from each, it
 /// greedily grows a clique by absorbing the candidate of maximum degree
-/// *within the candidate set*, found with `intersect-size-gt-val` whose
-/// threshold ratchets to the running maximum.
+/// *within the candidate set* (ties: first seen). Small candidate sets
+/// find it with `intersect-size-gt-val`, whose threshold ratchets to the
+/// running maximum; larger ones build the set's bit rows once and take
+/// popcounts (the gate is [`bitrows::heuristic_rows_pay`]). Both paths
+/// grow the same clique.
 pub fn degree_heuristic(g: &dyn GraphAccess, cfg: &Config, inc: &Incumbent) {
     let n = g.num_vertices();
     if n == 0 || cfg.top_k == 0 {
@@ -53,26 +76,66 @@ pub fn degree_heuristic(g: &dyn GraphAccess, cfg: &Config, inc: &Incumbent) {
     ids.par_iter().for_each(|&v| {
         HEUR_SCRATCH.with(|s| {
             let cstar = inc.size();
-            let HeurScratch { cand, clique, tmp } = s;
-            cand.clear();
-            cand.extend(
+            s.cand.clear();
+            s.cand.extend(
                 g.neighbors(v)
                     .iter()
                     .copied()
                     .filter(|&u| g.degree(u) >= cstar),
             );
-            clique.clear();
-            clique.push(v);
-            while !cand.is_empty() {
-                let u = select_max_degree_candidate(g, cand, cfg.early_exit);
-                clique.push(u);
-                // cand ∩ N(u): both sides sorted, merge.
-                intersect_sorted(cand, g.neighbors(u), tmp);
-                std::mem::swap(cand, tmp);
+            s.clique.clear();
+            s.clique.push(v);
+            if bitrows::heuristic_rows_pay(&s.cand) {
+                descend_rows(g, s);
+            } else {
+                descend_probes(g, s, cfg.early_exit);
             }
-            inc.offer(clique);
+            inc.offer(&s.clique);
         });
     });
+}
+
+/// The greedy descent from `s.cand` by per-pair probes, the scalar path:
+/// absorb the candidate of maximum degree within the set, then shrink the
+/// set to `cand ∩ N(u)` by a sorted merge.
+fn descend_probes(g: &dyn GraphAccess, s: &mut HeurScratch, early_exit: bool) {
+    let HeurScratch {
+        cand, clique, tmp, ..
+    } = s;
+    while !cand.is_empty() {
+        let u = select_max_degree_candidate(g, cand, early_exit);
+        clique.push(u);
+        intersect_sorted(cand, g.neighbors(u), tmp);
+        std::mem::swap(cand, tmp);
+    }
+}
+
+/// The same descent over `s.cand`'s bit rows, built once: each step's
+/// degrees are `popcount(row_w & alive)`, scanned in candidate order with
+/// the same first-seen tie-break, and `cand ∩ N(u)` is `alive &= row_u`.
+fn descend_rows(g: &dyn GraphAccess, s: &mut HeurScratch) {
+    let HeurScratch {
+        cand,
+        clique,
+        builder,
+        rows,
+        alive,
+        ..
+    } = s;
+    builder.build(cand, |u| g.neighbors(u), rows);
+    alive.reset_full(cand.len());
+    while let Some(first) = alive.first() {
+        let (mut best_i, mut best_d) = (first, 0usize);
+        for i in alive.iter() {
+            let d = alive.intersection_count_words(rows.row(i));
+            if d > best_d {
+                best_d = d;
+                best_i = i;
+            }
+        }
+        clique.push(cand[best_i]);
+        alive.intersect_with_words(rows.row(best_i));
+    }
 }
 
 /// `arg max_{w ∈ cand} |cand ∩ N(w)|`, with the early-exit kernel ratcheting
@@ -121,7 +184,9 @@ pub fn coreness_heuristic(
         }
         HEUR_SCRATCH.with(|s| {
             let v = start; // lowest-numbered vertex of this coreness level
-            let HeurScratch { cand, clique, tmp } = s;
+            let HeurScratch {
+                cand, clique, tmp, ..
+            } = s;
             cand.clear();
             cand.extend_from_slice(lg.right_sorted(v));
             let clique_rel = clique;
@@ -181,6 +246,70 @@ mod tests {
         coreness_heuristic(&lg, &levels, &Config::default(), &inc);
         assert!(g.is_clique(&inc.clique()));
         inc.size()
+    }
+
+    /// Runs both descent paths from every vertex of `g`, each with the
+    /// candidate set the heuristic would build at incumbent size `cstar`,
+    /// and asserts they grow the same clique. Returns the largest
+    /// candidate set seen.
+    fn assert_descents_agree(g: &CsrGraph, cstar: usize) -> usize {
+        let mut largest = 0;
+        for v in g.vertices() {
+            let mut runs = Vec::new();
+            for rows in [false, true] {
+                let mut s = HeurScratch::default();
+                s.cand
+                    .extend(g.neighbors(v).iter().filter(|&&u| g.degree(u) >= cstar));
+                s.clique.push(v);
+                largest = largest.max(s.cand.len());
+                if rows {
+                    descend_rows(g, &mut s);
+                } else {
+                    descend_probes(g, &mut s, true);
+                }
+                runs.push(s.clique);
+            }
+            assert_eq!(runs[0], runs[1], "seed vertex {v}, |C*| {cstar}");
+            assert!(g.is_clique(&runs[0]));
+        }
+        largest
+    }
+
+    #[test]
+    fn descent_paths_grow_the_same_clique() {
+        // A hub joined to everything gives one candidate set of n − 1,
+        // past the row cap in release builds.
+        let hub = |n: usize, p: f64, seed: u64| {
+            let g = gen::gnp(n, p, seed);
+            let mut edges: Vec<(u32, u32)> = g.edges().collect();
+            edges.extend((1..n as u32).map(|u| (0, u)));
+            CsrGraph::from_edges(n, &edges)
+        };
+        let graphs = if cfg!(debug_assertions) {
+            vec![
+                gen::gnp(80, 0.4, 1),
+                gen::planted_clique(120, 0.08, 12, 2),
+                hub(150, 0.1, 3),
+            ]
+        } else {
+            vec![
+                gen::gnp(400, 0.45, 1),
+                gen::planted_clique(600, 0.1, 25, 2),
+                hub(4200, 0.004, 3),
+            ]
+        };
+        let mut largest = 0;
+        for g in &graphs {
+            for cstar in [0, 3, 8] {
+                largest = largest.max(assert_descents_agree(g, cstar));
+            }
+        }
+        let want = if cfg!(debug_assertions) {
+            100
+        } else {
+            bitrows::MAX_ROWS + 1
+        };
+        assert!(largest >= want, "the sweep must reach {want} candidates");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! assert!(g.is_clique(result.vertices()));
 //! ```
 
+mod bitrows;
 pub mod config;
 pub mod heuristic;
 pub mod incumbent;

@@ -16,10 +16,20 @@
 //!
 //! Each right-neighbourhood passes three advance filters before any
 //! detailed search (Alg. 8): a coreness filter, then two rounds of
-//! induced-degree filtering via `intersect-size-gt-bool`/`-val`. Only a few
-//! neighbourhoods in a thousand survive (paper Table III); survivors are
-//! solved by direct MC or by k-VC on the complement, chosen by density.
+//! induced-degree filtering. Only a few neighbourhoods in a thousand
+//! survive (paper Table III); survivors are solved by direct MC or by k-VC
+//! on the complement, chosen by density.
+//!
+//! The induced-degree rounds run on one of two paths, picked per
+//! neighbourhood from its candidate count and θ (`bitrows`): small or
+//! tight candidate sets probe per pair with `intersect-size-gt-bool`/`-val`
+//! (`filter_probes`); larger ones build their bit rows once and count by
+//! popcount (`filter_rows`), then hand the detailed search its matrix by
+//! compacting the surviving rows. Both compute the same survivors, m̂ and
+//! matrix, so the funnel, the engine choice and every node count are the
+//! same on either path.
 
+use crate::bitrows::{self, RowBuilder, MAX_RETAINED_ARENA_BYTES};
 use crate::config::{hardware_threads, Config};
 use crate::incumbent::Incumbent;
 use crate::metrics::Counters;
@@ -39,10 +49,11 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-worker reusable buffers for one neighbourhood search: the filter
-/// candidate lists, the extracted (and compacted) submatrices, and both
-/// subgraph-solver arenas. Checked out of [`NEIGHBOR_SCRATCH`] per call,
-/// so the whole systematic sweep reaches zero steady-state allocation —
-/// buffers warmed by early neighbourhoods serve every later one.
+/// candidate lists, the bit path's rows and live sets, the extracted (and
+/// compacted) submatrices, and both subgraph-solver arenas. Checked out
+/// of [`NEIGHBOR_SCRATCH`] per call, so the whole systematic sweep reaches
+/// zero steady-state allocation — buffers warmed by early neighbourhoods
+/// serve every later one.
 #[derive(Default)]
 struct NeighborScratch {
     solver: SolverScratch,
@@ -50,9 +61,15 @@ struct NeighborScratch {
     next: Vec<VertexId>,
     adj: BitMatrix,
     small: BitMatrix,
+    /// Local index maps of the two compactions (bit-path survivors, then
+    /// the reduced k-VC matrix).
     map: Vec<u32>,
     within: Bitset,
     orig: Vec<VertexId>,
+    builder: RowBuilder,
+    rows: BitMatrix,
+    alive: Bitset,
+    kept: Bitset,
 }
 
 impl NeighborScratch {
@@ -66,14 +83,12 @@ impl NeighborScratch {
             + self.adj.heap_bytes()
             + self.small.heap_bytes()
             + self.within.heap_bytes()
+            + self.builder.heap_bytes()
+            + self.rows.heap_bytes()
+            + self.alive.heap_bytes()
+            + self.kept.heap_bytes()
     }
 }
-
-/// Arenas grown past this by an outlier neighbourhood (a huge `nn` means
-/// O(nn²/8)-byte matrices) are dropped on return instead of pinned in the
-/// static pool for the process lifetime — long-lived daemons must not pay
-/// one pathological graph's high-water mark forever.
-const MAX_RETAINED_ARENA_BYTES: usize = 8 << 20;
 
 static NEIGHBOR_SCRATCH: Pool<NeighborScratch> =
     Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_ARENA_BYTES);
@@ -404,49 +419,20 @@ fn neighbor_search_scratch(
     let theta = if cstar >= 2 { Some(cstar - 2) } else { None };
 
     // --- Induced-degree filter rounds (Alg. 8 filters 2 and 3) -----------
-    // All rounds but the last use the boolean early-exit kernel; the final
-    // round uses the counting kernel so the edge estimate m̂ comes out of
-    // it. The candidate set is the probed (B) side; a hash table is built
-    // only when it is large enough to out-cost binary search, and the
-    // kernels always scan the smaller side as A. The survivor lists
-    // ping-pong between two pooled buffers.
-    let rounds = cfg.filter_rounds.max(1);
-    let mut m_hat = 0u64;
-    for round in 0..rounds {
-        let last = round + 1 == rounds;
-        {
-            let NeighborScratch { n1: cand, next, .. } = scr;
-            let set = CandSet::new(cand);
-            next.clear();
-            if !last {
-                if let Some(theta) = theta {
-                    for &u in cand.iter() {
-                        if induced_degree_gt(lg, u, cand, &set, theta, cfg) {
-                            next.push(u);
-                        }
-                    }
-                } else {
-                    next.extend_from_slice(cand);
-                }
-            } else {
-                m_hat = 0;
-                for &u in cand.iter() {
-                    if let Some(d) = induced_degree_count(lg, u, cand, &set, theta, cfg) {
-                        next.push(u);
-                        m_hat += d as u64;
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut scr.n1, &mut scr.next);
-        if round == 0 && scr.n1.len() >= cstar {
-            counters.add(&counters.retained_f2, 1);
-        }
-        if scr.n1.len() < cstar {
-            counters.add(&counters.filter_ns, t0.elapsed().as_nanos() as u64);
-            return;
-        }
+    // Survivors stay in `scr.n1`, and a passed cascade leaves G[N3] in
+    // `scr.adj` in local (positional) index space 0..nn.
+    let cascade = if bitrows::filter_rows_pay(&scr.n1, theta) {
+        filter_rows(lg, cstar, theta, cfg.filter_rounds, scr)
+    } else {
+        filter_probes(lg, cstar, theta, cfg, scr)
+    };
+    if cascade.f2 {
+        counters.add(&counters.retained_f2, 1);
     }
+    let Some(m_hat) = cascade.m_hat else {
+        counters.add(&counters.filter_ns, t0.elapsed().as_nanos() as u64);
+        return;
+    };
     counters.add(&counters.retained_f3, 1);
     let n3 = &scr.n1;
 
@@ -459,10 +445,6 @@ fn neighbor_search_scratch(
     } else {
         0.0
     };
-
-    // Cut out the induced subgraph G[N] as a bit matrix. From here on we
-    // are in local index space 0..nn (positions within n3).
-    extract_submatrix_into(lg, n3, &mut scr.adj);
     let adj = &scr.adj;
 
     // Optional extension (paper §V-A): MC-BRB-style iterated reduction on
@@ -585,6 +567,135 @@ fn neighbor_search_scratch(
         scr.orig.push(order.to_original(v));
         debug_assert!(lg.original_graph().is_clique(&scr.orig));
         inc.offer(&scr.orig);
+    }
+}
+
+/// Outcome of the induced-degree rounds (Alg. 8 filters 2 and 3) on one
+/// neighbourhood: the Table III funnel steps it passed, and m̂.
+#[derive(Debug, PartialEq, Eq)]
+struct Cascade {
+    /// Round 0 left at least |C*| candidates (`retained_f2`).
+    f2: bool,
+    /// The edge estimate m̂ summed by the last round, when every round
+    /// left at least |C*| candidates (`retained_f3`).
+    m_hat: Option<u64>,
+}
+
+/// The induced-degree rounds by per-pair probes over `scr.n1`, the scalar
+/// path. All rounds but the last use the boolean early-exit kernel; the
+/// final round uses the counting kernel so the edge estimate m̂ comes out
+/// of it. The candidate set is the probed (B) side; a hash table is built
+/// only when it is large enough to out-cost binary search, and the kernels
+/// always scan the smaller side as A. The survivor lists ping-pong between
+/// two pooled buffers. A passed cascade extracts G[N3] into `scr.adj`.
+fn filter_probes(
+    lg: &LazyGraph<'_>,
+    cstar: usize,
+    theta: Option<usize>,
+    cfg: &Config,
+    scr: &mut NeighborScratch,
+) -> Cascade {
+    let rounds = cfg.filter_rounds.max(1);
+    let mut f2 = false;
+    let mut m_hat = 0u64;
+    for round in 0..rounds {
+        let last = round + 1 == rounds;
+        {
+            let NeighborScratch { n1: cand, next, .. } = scr;
+            let set = CandSet::new(cand);
+            next.clear();
+            if !last {
+                if let Some(theta) = theta {
+                    for &u in cand.iter() {
+                        if induced_degree_gt(lg, u, cand, &set, theta, cfg) {
+                            next.push(u);
+                        }
+                    }
+                } else {
+                    next.extend_from_slice(cand);
+                }
+            } else {
+                m_hat = 0;
+                for &u in cand.iter() {
+                    if let Some(d) = induced_degree_count(lg, u, cand, &set, theta, cfg) {
+                        next.push(u);
+                        m_hat += d as u64;
+                    }
+                }
+            }
+        }
+        std::mem::swap(&mut scr.n1, &mut scr.next);
+        f2 |= round == 0 && scr.n1.len() >= cstar;
+        if scr.n1.len() < cstar {
+            return Cascade { f2, m_hat: None };
+        }
+    }
+    extract_submatrix_into(lg, &scr.n1, &mut scr.adj);
+    Cascade {
+        f2,
+        m_hat: Some(m_hat),
+    }
+}
+
+/// The same rounds as [`filter_probes`] by popcounts over local bit rows,
+/// the bit path: `scr.n1`'s induced rows are built once, each round keeps
+/// `u` iff `popcount(row_u & alive) > θ`, and the last round sums m̂ from
+/// the same counts. Survivors, m̂ and the funnel are the same set
+/// functions; `early_exit` and `second_exit` have nothing to skip here. A
+/// passed cascade compacts the surviving rows into `scr.adj`, which equals
+/// what [`extract_submatrix_into`] builds over the survivors.
+fn filter_rows(
+    lg: &LazyGraph<'_>,
+    cstar: usize,
+    theta: Option<usize>,
+    rounds: usize,
+    scr: &mut NeighborScratch,
+) -> Cascade {
+    let NeighborScratch {
+        n1,
+        next,
+        adj,
+        map,
+        rows,
+        alive,
+        kept,
+        builder,
+        ..
+    } = scr;
+    builder.build(n1, |u| lg.sorted(u), rows);
+    let nn = n1.len();
+    alive.reset_full(nn);
+    let rounds = rounds.max(1);
+    let mut f2 = false;
+    let mut m_hat = 0u64;
+    for round in 0..rounds {
+        // Without a threshold, only the last round does anything: it
+        // counts m̂ and keeps everyone.
+        if round + 1 == rounds || theta.is_some() {
+            kept.reset(nn);
+            m_hat = 0;
+            for i in alive.iter() {
+                let d = alive.intersection_count_words(rows.row(i));
+                if theta.is_none_or(|t| d > t) {
+                    kept.insert(i);
+                    m_hat += d as u64;
+                }
+            }
+            std::mem::swap(alive, kept);
+        }
+        let len = alive.len();
+        f2 |= round == 0 && len >= cstar;
+        if len < cstar {
+            return Cascade { f2, m_hat: None };
+        }
+    }
+    next.clear();
+    next.extend(alive.iter().map(|i| n1[i]));
+    std::mem::swap(n1, next);
+    compact_matrix_into(rows, alive, adj, map);
+    Cascade {
+        f2,
+        m_hat: Some(m_hat),
     }
 }
 
@@ -998,6 +1109,110 @@ mod tests {
             node_counts.push((snap.mc_nodes, snap.vc_nodes));
         }
         assert_eq!(node_counts[0], node_counts[1]);
+    }
+
+    /// `gnp` plus vertex 0 joined to everything: a hub whose list dwarfs
+    /// every candidate set it meets.
+    fn with_hub(n: usize, p: f64, seed: u64) -> CsrGraph {
+        let g = gen::gnp(n, p, seed);
+        let mut edges: Vec<(u32, u32)> = g.edges().collect();
+        edges.extend((1..n as u32).map(|u| (0, u)));
+        CsrGraph::from_edges(n, &edges)
+    }
+
+    /// Graphs of the differential sweeps: a smaller set in debug builds,
+    /// as `tests/pr3_node_counts.rs` does.
+    fn differential_graphs() -> Vec<CsrGraph> {
+        if cfg!(debug_assertions) {
+            vec![
+                gen::gnp(90, 0.3, 1),
+                gen::planted_clique(120, 0.1, 14, 2),
+                with_hub(100, 0.2, 3),
+            ]
+        } else {
+            vec![
+                gen::gnp(300, 0.45, 1),
+                gen::gnp(600, 0.05, 4),
+                gen::planted_clique(500, 0.15, 30, 2),
+                with_hub(400, 0.3, 3),
+                gen::paley(101),
+            ]
+        }
+    }
+
+    /// Runs both filter paths on `v`'s neighbourhood at incumbent size
+    /// `cstar` and asserts they agree: the same funnel outcome and m̂, and
+    /// for a passed cascade the same survivors in the same order and an
+    /// equal extracted matrix. Returns whether the cascade passed.
+    fn assert_filter_paths_agree(
+        lg: &LazyGraph<'_>,
+        v: VertexId,
+        cstar: usize,
+        cfg: &Config,
+    ) -> Option<bool> {
+        let n1: Vec<VertexId> = lg
+            .right_sorted(v)
+            .iter()
+            .copied()
+            .filter(|&u| (lg.coreness(u) as usize) >= cstar)
+            .collect();
+        if n1.len() < cstar || n1.is_empty() {
+            return None;
+        }
+        let theta = cstar.checked_sub(2);
+        let mut probes = NeighborScratch::default();
+        probes.n1.clone_from(&n1);
+        let a = filter_probes(lg, cstar, theta, cfg, &mut probes);
+        let mut rows = NeighborScratch::default();
+        rows.n1.clone_from(&n1);
+        let b = filter_rows(lg, cstar, theta, cfg.filter_rounds, &mut rows);
+        let at = format!("v {v}, |C*| {cstar}, rounds {}", cfg.filter_rounds);
+        assert_eq!(a, b, "funnel and m̂ at {at}");
+        if a.m_hat.is_some() {
+            assert_eq!(probes.n1, rows.n1, "survivors at {at}");
+            assert_eq!(probes.adj, rows.adj, "extracted matrix at {at}");
+        }
+        Some(a.m_hat.is_some())
+    }
+
+    #[test]
+    fn filter_paths_agree_on_every_vertex() {
+        let mut passed = 0;
+        let mut dropped = 0;
+        for g in differential_graphs() {
+            let kc = kcore_sequential(&g);
+            let ord = coreness_degree_order(&g, &kc.coreness);
+            // Incumbent 0 while the lists are built: every list keeps
+            // every neighbour, whatever |C*| a case then filters at.
+            let inc = Incumbent::new();
+            let lg = LazyGraph::new(&g, &ord, &kc.coreness, inc.size_cell());
+            let d = kc.degeneracy as usize;
+            // θ none (|C*| 0 and 1), θ 0, small θ, and θ near the top.
+            let cstars = [0, 1, 2, 4, d / 2, d.saturating_sub(1), d, d + 1];
+            for rounds in 1..=4 {
+                for early_exit in [true, false] {
+                    let cfg = Config {
+                        filter_rounds: rounds,
+                        early_exit,
+                        second_exit: early_exit,
+                        ..Config::default()
+                    };
+                    for v in 0..g.num_vertices() as VertexId {
+                        for &cstar in &cstars {
+                            match assert_filter_paths_agree(&lg, v, cstar, &cfg) {
+                                Some(true) => passed += 1,
+                                Some(false) => dropped += 1,
+                                None => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            passed > 0 && dropped > 0,
+            "sweep must see both outcomes ({passed} passed, {dropped} dropped)"
+        );
     }
 
     #[test]

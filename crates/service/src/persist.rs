@@ -39,6 +39,16 @@ struct IndexEntry {
     bytes: u64,
 }
 
+/// What [`SnapshotStore::save`] wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Saved {
+    /// File length in bytes.
+    pub bytes: u64,
+    /// The graph's content fingerprint, as hashed into the header (equal
+    /// to [`CsrGraph::fingerprint`]), so callers need not hash it again.
+    pub fingerprint: u64,
+}
+
 /// A `--data-dir`-backed snapshot directory with an in-memory index.
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -202,7 +212,7 @@ impl SnapshotStore {
     /// Durably writes a snapshot of `graph` + `kcore` under `name`.
     /// Returns `Err` for names that cannot be file names or on I/O failure
     /// (counted in [`SnapshotStore::write_errors`] by the caller's policy).
-    pub fn save(&self, name: &str, graph: &CsrGraph, kcore: &KCore) -> std::io::Result<u64> {
+    pub fn save(&self, name: &str, graph: &CsrGraph, kcore: &KCore) -> std::io::Result<Saved> {
         let Some(name) = safe_name(name) else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -225,7 +235,10 @@ impl SnapshotStore {
             },
         );
         self.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(len)
+        Ok(Saved {
+            bytes: len,
+            fingerprint,
+        })
     }
 
     /// Fully loads and validates the snapshot of `name`, copying each
@@ -358,8 +371,10 @@ mod tests {
         assert!(store.is_empty());
         let g = gen::planted_clique(90, 0.05, 7, 2);
         let kc = kcore_sequential(&g);
-        let written = store.save("g1", &g, &kc).unwrap();
+        let saved = store.save("g1", &g, &kc).unwrap();
+        let written = saved.bytes;
         assert!(written > 0);
+        assert_eq!(saved.fingerprint, g.fingerprint());
         assert!(store.contains("g1"));
         assert_eq!(store.bytes_of("g1"), Some(written));
         assert_eq!(store.total_bytes(), written);

@@ -199,7 +199,6 @@ impl Registry {
     /// memory only, never the snapshot. Returns the shared entry.
     pub fn insert(&self, name: &str, graph: CsrGraph) -> Arc<GraphEntry> {
         let t = Instant::now();
-        let fingerprint = graph.fingerprint();
         let kcore = kcore_sequential(&graph);
         self.core_computes.fetch_add(1, Ordering::Relaxed);
         // Claim the name's mutation slot only after the expensive
@@ -207,11 +206,11 @@ impl Registry {
         // with a lazy reload of the same name (a loader that read the old
         // snapshot could otherwise install stale data over this upload).
         self.acquire_name_slot(name);
-        let mut saved_len = None;
+        let mut saved = None;
         if let Some(store) = &self.store {
             match store.save(name, &graph, &kcore) {
-                Ok(len) => {
-                    saved_len = Some(len);
+                Ok(s) => {
+                    saved = Some(s);
                     // Disk works again: the snapshot subsystem is healthy,
                     // even if earlier uploads remain memory-only.
                     if let Some(health) = &self.health {
@@ -236,8 +235,11 @@ impl Registry {
         // Large snapshots become the resident representation themselves:
         // drop the heap CSR and owned decomposition, re-map the file just
         // written, and let the page cache own the bytes.
-        let mapped = saved_len
-            .filter(|&len| len >= self.mmap_threshold.load(Ordering::Relaxed))
+        // The snapshot writer already hashed the CSR into its header; hash
+        // here only when nothing was written.
+        let fingerprint = saved.map_or_else(|| graph.fingerprint(), |s| s.fingerprint);
+        let mapped = saved
+            .filter(|s| s.bytes >= self.mmap_threshold.load(Ordering::Relaxed))
             .and(self.store.as_ref())
             .and_then(|store| store.load_mapped(name));
         let prep_ms = t.elapsed().as_millis() as u64;
@@ -701,6 +703,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(SnapshotStore::open(&dir).unwrap());
         (dir, store)
+    }
+
+    #[test]
+    fn insert_fingerprints_once_whether_or_not_a_snapshot_is_written() {
+        let g = gen::planted_clique(80, 0.1, 6, 4);
+        let fp = g.fingerprint();
+        let (dir, store) = tmp_store("fingerprint");
+        let reg = Registry::with_store(4, Some(store.clone()));
+        // Written: the fingerprint comes back from the snapshot header.
+        assert_eq!(reg.insert("ok", g.clone()).fingerprint, fp);
+        assert_eq!(store.fingerprint_of("ok"), Some(fp));
+        // Not persistable: the save fails and the registry hashes itself.
+        assert_eq!(reg.insert("a/b", g.clone()).fingerprint, fp);
+        assert_eq!(store.write_errors.load(Ordering::Relaxed), 1);
+        // No store at all.
+        assert_eq!(Registry::new(4).insert("x", g).fingerprint, fp);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
