@@ -13,8 +13,8 @@
 use crate::shared::greedy_from;
 use lazymc_graph::{CsrGraph, VertexId};
 use lazymc_order::kcore_sequential;
-use lazymc_solver::bitset::BitMatrix;
-use lazymc_solver::vertex_cover_decision;
+use lazymc_solver::bitset::{BitMatrix, Bitset};
+use lazymc_solver::{vertex_cover_decision, Run};
 
 /// Gap progression strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,9 @@ pub fn domega(g: &CsrGraph, schedule: GapSchedule) -> Vec<VertexId> {
             }
             let comp = adj.complement();
             let k = members.len() - (target - 1);
-            if let Some(cover) = vertex_cover_decision(&comp, k, None) {
+            let alive = Bitset::full(members.len());
+            let mut cover = Vec::new();
+            if vertex_cover_decision(&comp, &alive, k, Run::default(), None, &mut cover).found {
                 let mut in_cover = vec![false; members.len()];
                 for &c in &cover {
                     in_cover[c as usize] = true;

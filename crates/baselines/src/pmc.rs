@@ -17,8 +17,8 @@ use crate::shared::{greedy_from, SharedBest};
 use lazymc_graph::{CsrGraph, VertexId};
 use lazymc_intersect::intersect_sorted;
 use lazymc_order::kcore_sequential;
-use lazymc_solver::bitset::BitMatrix;
-use lazymc_solver::max_clique_dense;
+use lazymc_solver::bitset::{BitMatrix, Bitset};
+use lazymc_solver::{max_clique_dense, Run};
 use rayon::prelude::*;
 
 /// Runs the PMC-like solver; returns a maximum clique in original ids.
@@ -80,7 +80,10 @@ pub fn pmc_like(g: &CsrGraph) -> Vec<VertexId> {
                 }
             }
         }
-        if let Some(local) = max_clique_dense(&adj, cstar.saturating_sub(1), None) {
+        let within = Bitset::full(members.len());
+        let mut local = Vec::new();
+        let lb = cstar.saturating_sub(1);
+        if max_clique_dense(&adj, &within, lb, Run::default(), None, &mut local) {
             let mut clique: Vec<VertexId> = local
                 .iter()
                 .map(|&i| kc.peel_order[members[i as usize] as usize])

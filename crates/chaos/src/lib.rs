@@ -3,7 +3,7 @@
 //! A *fault point* is a named call site (`lazymc_chaos::point!("sched.unit")`
 //! or `lazymc_chaos::raise_io("persist.write")?`) compiled into debug builds
 //! and compiled out of release builds (unless the `armed` feature is on —
-//! the calls below constant-fold to nothing when [`compiled_in`] is false).
+//! the calls below constant-fold to nothing when [`COMPILED_IN`] is false).
 //! Points do nothing until a *spec* arms them at runtime, either via the
 //! `LAZYMC_CHAOS` environment variable at boot or `POST /debug/chaos` live.
 //!

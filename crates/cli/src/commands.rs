@@ -367,7 +367,10 @@ pub fn serve(argv: &[String]) -> i32 {
         Ok(None) => {}
         Err(e) => return fail(&e),
     }
-    cfg.log_json = p.has("--log-json");
+    let log_json = p.has("--log-json");
+    if log_json {
+        cfg.log_sink = lazymc_service::LogSink::Stdout;
+    }
     match p.value::<u64>("--slow-query-ms") {
         Ok(Some(ms)) => cfg.slow_query_ms = ms,
         Ok(None) => {}
@@ -409,7 +412,6 @@ pub fn serve(argv: &[String]) -> i32 {
     // With --log-json, stdout is reserved for structured log lines (one
     // JSON object per line, machine-parseable); the human banner moves to
     // stderr so `lazymc serve --log-json > log.jsonl` stays clean.
-    let log_json = cfg.log_json;
     macro_rules! banner {
         ($($t:tt)*) => {
             if log_json { eprintln!($($t)*) } else { println!($($t)*) }

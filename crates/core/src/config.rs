@@ -26,7 +26,8 @@ pub struct Config {
     /// runs on a scheduler pool at [`Config::sched_width`]: the caller's
     /// (the daemon's), or else the process-wide pool with one worker per
     /// hardware thread. The heuristics, k-core and prepopulate run on the
-    /// rayon shim at this count. `1` is the deterministic sequential solve.
+    /// rayon shim at this count through either entry, daemon solves
+    /// included. `1` is the deterministic sequential solve.
     pub threads: usize,
     /// How many of the highest-degree vertices the degree-based heuristic
     /// search expands (paper Alg. 5, "top-K").

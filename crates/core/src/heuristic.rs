@@ -59,7 +59,7 @@ static HEUR_SCRATCH: Pool<HeurScratch> =
 /// *within the candidate set* (ties: first seen). Small candidate sets
 /// find it with `intersect-size-gt-val`, whose threshold ratchets to the
 /// running maximum; larger ones build the set's bit rows once and take
-/// popcounts (the gate is [`bitrows::heuristic_rows_pay`]). Both paths
+/// popcounts (the gate is `bitrows::heuristic_rows_pay`). Both paths
 /// grow the same clique.
 pub fn degree_heuristic(g: &dyn GraphAccess, cfg: &Config, inc: &Incumbent) {
     let n = g.num_vertices();

@@ -10,7 +10,7 @@
 //!   3. (coreness, degree) sort order           (lazymc_order::coreness_degree_order)
 //!   4. lazy filtered hashed relabelled graph   (lazymc_lazygraph::LazyGraph)
 //!   5. coreness-based heuristic search         (heuristic::coreness_heuristic)
-//!   6. systematic search                       (systematic::systematic_search)
+//!   6. systematic search                       (systematic::systematic_search_on)
 //! ```
 //!
 //! # Example
@@ -125,9 +125,9 @@ impl LazyMc {
     /// The systematic search runs on the process-wide scheduler pool
     /// (created by the first solve that hands it work, one worker per
     /// hardware thread, shared by every solve in the process) at the
-    /// configured width; `threads = 1` never touches it. The data-parallel phases —
-    /// the heuristics, k-core and prepopulate — run on the rayon shim at
-    /// the configured thread count.
+    /// configured width; `threads = 1` never touches it. The data-parallel
+    /// phases — the heuristics, k-core and prepopulate — run on the rayon
+    /// shim at the configured thread count.
     pub fn solve_prepared(
         &self,
         g: &dyn GraphAccess,
@@ -135,19 +135,7 @@ impl LazyMc {
         deadline: &Deadline,
         progress: Option<&SolveProgress>,
     ) -> SolveResult {
-        let result = if self.config.threads > 0 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(self.config.threads)
-                .build()
-                .expect("failed to build rayon pool");
-            pool.install(|| self.solve_inner(g, kcore, deadline, progress, None))
-        } else {
-            self.solve_inner(g, kcore, deadline, progress, None)
-        };
-        if let Some(p) = progress {
-            p.set_phase(Phase::Done);
-        }
-        result
+        self.solve_inner(g, kcore, deadline, progress, None)
     }
 
     /// [`LazyMc::solve_prepared`] on the caller's scheduler pool
@@ -156,7 +144,8 @@ impl LazyMc {
     /// `meta` (job id, deadline, priority) on the pool behind `handle`.
     /// The caller's thread drives the solve and recruits pool workers
     /// through scopes, so a `threads = 1` config touches the scheduler
-    /// not at all and stays bit-identical to the sequential kernels.
+    /// not at all and stays bit-identical to the sequential kernels. The
+    /// data-parallel phases run at the configured thread count here too.
     pub fn solve_prepared_on(
         &self,
         g: &dyn GraphAccess,
@@ -171,14 +160,29 @@ impl LazyMc {
             meta,
             self.config.sched_width(handle.workers()),
         );
-        let result = self.solve_inner(g, kcore, deadline, progress, Some(&sched));
+        self.solve_inner(g, kcore, deadline, progress, Some(&sched))
+    }
+
+    /// The body of both entries: the whole pipeline at the configured
+    /// data-parallel width, then the progress cell marked done.
+    fn solve_inner(
+        &self,
+        g: &dyn GraphAccess,
+        pre: Option<KCoreView<'_>>,
+        deadline: &Deadline,
+        progress: Option<&SolveProgress>,
+        sched: Option<&JobSched>,
+    ) -> SolveResult {
+        let result = at_data_parallel_width(self.config.threads, || {
+            self.pipeline(g, pre, deadline, progress, sched)
+        });
         if let Some(p) = progress {
             p.set_phase(Phase::Done);
         }
         result
     }
 
-    fn solve_inner(
+    fn pipeline(
         &self,
         g: &dyn GraphAccess,
         pre: Option<KCoreView<'_>>,
@@ -314,6 +318,19 @@ impl LazyMc {
             metrics: snapshot,
         }
     }
+}
+
+/// Runs `f` with the rayon shim's parallel stages at `threads` threads;
+/// `0` leaves the shim's default, the machine's parallelism.
+fn at_data_parallel_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    if threads == 0 {
+        return f();
+    }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("the rayon shim's pool builder never fails")
+        .install(f)
 }
 
 /// Convenience: solve with the default configuration.
@@ -597,6 +614,22 @@ mod tests {
             "live progress must aggregate node counts across all workers"
         );
         assert_eq!(progress.incumbent_size(), r.size());
+    }
+
+    #[test]
+    fn data_parallel_phases_run_at_the_configured_width() {
+        // Both entries run their pipeline inside this helper, so the
+        // heuristics, k-core and prepopulate see `threads` as the shim's
+        // width, daemon solves included.
+        for threads in [1, 3] {
+            let seen = at_data_parallel_width(threads, rayon::current_num_threads);
+            assert_eq!(seen, threads);
+        }
+        let machine = rayon::current_num_threads();
+        assert_eq!(
+            at_data_parallel_width(0, rayon::current_num_threads),
+            machine
+        );
     }
 
     #[test]

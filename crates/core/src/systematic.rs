@@ -39,25 +39,27 @@ use lazymc_intersect::{intersect_size_gt_bool, intersect_size_gt_val, intersect_
 use lazymc_lazygraph::LazyGraph;
 use lazymc_sched::{Pool as SchedPool, SchedHandle, TaskMeta};
 use lazymc_solver::bitset::{BitMatrix, Bitset};
-use lazymc_solver::scratch::{Pool, SolverScratch};
+use lazymc_solver::scratch::Pool;
 use lazymc_solver::{
-    max_clique_dense_sched, max_clique_dense_scratch, max_clique_via_vc_sched,
-    max_clique_via_vc_scratch, LiveNodes, McStats, VcStats,
+    max_clique_dense, max_clique_via_vc, LiveNodes, McStats, Run, Split, StopFn, VcStats,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-worker reusable buffers for one neighbourhood search: the filter
-/// candidate lists, the bit path's rows and live sets, the extracted (and
-/// compacted) submatrices, and both subgraph-solver arenas. Checked out
-/// of [`NEIGHBOR_SCRATCH`] per call, so the whole systematic sweep reaches
-/// zero steady-state allocation — buffers warmed by early neighbourhoods
-/// serve every later one.
+/// candidate lists and the probe path's hash table, the bit path's rows
+/// and live sets, the extracted (and compacted) submatrices, and the
+/// witness. Checked out of [`NEIGHBOR_SCRATCH`] per call, so the whole
+/// systematic sweep reaches zero steady-state allocation — buffers warmed
+/// by early neighbourhoods serve every later one. The subgraph engines
+/// keep their own arenas in the solver's pools.
 #[derive(Default)]
 struct NeighborScratch {
-    solver: SolverScratch,
+    clique: Vec<u32>,
     n1: Vec<VertexId>,
+    /// The probe path's candidate table, rebuilt per round in place.
+    table: HopscotchSet,
     next: Vec<VertexId>,
     adj: BitMatrix,
     small: BitMatrix,
@@ -74,12 +76,13 @@ struct NeighborScratch {
 
 impl NeighborScratch {
     fn heap_bytes(&self) -> usize {
-        self.solver.heap_bytes()
-            + (self.n1.capacity()
-                + self.next.capacity()
-                + self.map.capacity()
-                + self.orig.capacity())
-                * 4
+        (self.clique.capacity()
+            + self.n1.capacity()
+            + self.next.capacity()
+            + self.map.capacity()
+            + self.orig.capacity())
+            * 4
+            + self.table.heap_bytes()
             + self.adj.heap_bytes()
             + self.small.heap_bytes()
             + self.within.heap_bytes()
@@ -273,24 +276,11 @@ fn sweep_parallel(items: &[VertexId], js: &JobSched, f: impl Fn(VertexId, usize)
         .scope(js.meta, workers - 1, pending, &|_sc, i| f(items[i], inner));
 }
 
-/// Runs the systematic search (paper Algorithm 7).
-pub fn systematic_search(
-    lg: &LazyGraph<'_>,
-    levels: &[(u32, u32)],
-    degeneracy: u32,
-    cfg: &Config,
-    inc: &Incumbent,
-    counters: &Counters,
-    deadline: &Deadline,
-) {
-    systematic_search_on(lg, levels, degeneracy, cfg, inc, counters, deadline, None)
-}
-
-/// [`systematic_search`] bound to a scheduler pool: both the level sweeps
-/// and the intra-solve subtree splits run as stealable tasks carrying the
-/// job's deadline and priority. `None` runs on the process-wide pool,
-/// created on first use with one worker per hardware thread, at
-/// `cfg.sched_width` of that size.
+/// Runs the systematic search (paper Algorithm 7) on a scheduler pool:
+/// both the level sweeps and the intra-solve subtree splits run as
+/// stealable tasks carrying the job's deadline and priority. `None` runs
+/// on the process-wide pool, created on first use with one worker per
+/// hardware thread, at `cfg.sched_width` of that size.
 #[allow(clippy::too_many_arguments)]
 pub fn systematic_search_on(
     lg: &LazyGraph<'_>,
@@ -469,24 +459,29 @@ fn neighbor_search_scratch(
     // A clique K ⊆ N together with v gives |K|+1, so beat the incumbent iff
     // |K| > cstar − 1.
     let lb = cstar.saturating_sub(1);
-    // Intra-solve thread budget: 1 runs the deterministic sequential
-    // kernels; above that, the engines split their top branch levels into
-    // subtree tasks on the pool, against a shared incumbent.
-    let threads = solver_threads.max(1);
-    // Split solves poll this once per claimed subtree task, so a deadline
-    // trip or cancellation drains every stolen subtree of the job wherever
-    // it is executing.
+    // Intra-solve thread budget: above 1 the engines may split their top
+    // branch levels into subtree tasks on the pool, against a shared
+    // incumbent. Split solves poll `stop` once per claimed subtree task,
+    // so a deadline trip or cancellation drains every stolen subtree of
+    // the job wherever it is executing. Width 1 binds no pool at all.
+    let handle = (solver_threads > 1).then(|| sched.handle());
+    let split = handle.as_ref().map(|h| Split {
+        sched: h,
+        meta: sched.meta,
+        width: solver_threads,
+    });
     let stop = || deadline.should_skip();
-    let stop: Option<lazymc_solver::StopFn<'_>> = Some(&stop);
+    let stop: Option<StopFn<'_>> = Some(&stop);
     let t1 = Instant::now();
-    let clique = &mut scr.solver.clique;
+    let clique = &mut scr.clique;
+    // Live observers see the node counters move mid-search; the engines
+    // record flushed batches in `sampled`, so the residual adds below keep
+    // the final totals exact.
     let found = if density > cfg.density_threshold {
         counters.add(&counters.searched_kvc, 1);
         let mut st = VcStats::default();
-        // Live observers see vc_nodes move mid-search; the kernel records
-        // flushed batches in `st.sampled` so the residual add below keeps
-        // the final total exact.
         let live = LiveNodes::new(&counters.vc_nodes);
+        let run = Run { live, stop, split };
         // The k-VC engine works on whole matrices; compact when the
         // reduction removed vertices.
         let compacted = scr.within.len() < nn;
@@ -494,22 +489,7 @@ fn neighbor_search_scratch(
             compact_matrix_into(adj, &scr.within, &mut scr.small, &mut scr.map);
         }
         let vc_adj = if compacted { &scr.small } else { adj };
-        let r = if threads > 1 {
-            max_clique_via_vc_sched(
-                vc_adj,
-                lb,
-                &sched.handle(),
-                sched.meta,
-                threads,
-                stop,
-                Some(&mut st),
-                &mut scr.solver.vc,
-                clique,
-                live,
-            )
-        } else {
-            max_clique_via_vc_scratch(vc_adj, lb, Some(&mut st), &mut scr.solver.vc, clique, live)
-        };
+        let r = max_clique_via_vc(vc_adj, lb, run, Some(&mut st), clique);
         if r && compacted {
             // translate compacted indices back to positions in n3
             for i in clique.iter_mut() {
@@ -527,30 +507,8 @@ fn neighbor_search_scratch(
         counters.add(&counters.searched_mc, 1);
         let mut st = McStats::default();
         let live = LiveNodes::new(&counters.mc_nodes);
-        let r = if threads > 1 {
-            max_clique_dense_sched(
-                adj,
-                &scr.within,
-                lb,
-                &sched.handle(),
-                sched.meta,
-                threads,
-                stop,
-                Some(&mut st),
-                clique,
-                live,
-            )
-        } else {
-            max_clique_dense_scratch(
-                adj,
-                &scr.within,
-                lb,
-                Some(&mut st),
-                &mut scr.solver.mc,
-                clique,
-                live,
-            )
-        };
+        let run = Run { live, stop, split };
+        let r = max_clique_dense(adj, &scr.within, lb, run, Some(&mut st), clique);
         counters.add(&counters.mc_nodes, st.nodes - st.sampled);
         counters.add(&counters.split_tasks, st.split_tasks);
         counters.add(&counters.steals, st.steals);
@@ -601,8 +559,13 @@ fn filter_probes(
     for round in 0..rounds {
         let last = round + 1 == rounds;
         {
-            let NeighborScratch { n1: cand, next, .. } = scr;
-            let set = CandSet::new(cand);
+            let NeighborScratch {
+                n1: cand,
+                next,
+                table,
+                ..
+            } = scr;
+            let set = CandSet::new(cand, table);
             next.clear();
             if !last {
                 if let Some(theta) = theta {
@@ -724,16 +687,22 @@ fn compact_matrix_into(
 /// handful of probes it serves).
 enum CandSet<'a> {
     Small(&'a [VertexId]),
-    Large(HopscotchSet),
+    Large(&'a HopscotchSet),
 }
 
 /// Above this size, probing pays for building a hopscotch table.
 const HASH_CUTOFF: usize = 64;
 
 impl<'a> CandSet<'a> {
-    fn new(sorted: &'a [VertexId]) -> Self {
+    /// Membership of `sorted`, filling `table` (in place) when the set is
+    /// large enough to hash.
+    fn new(sorted: &'a [VertexId], table: &'a mut HopscotchSet) -> Self {
         if sorted.len() > HASH_CUTOFF {
-            CandSet::Large(sorted.iter().collect())
+            table.reset(sorted.len());
+            for &u in sorted {
+                table.insert(u);
+            }
+            CandSet::Large(table)
         } else {
             CandSet::Small(sorted)
         }
@@ -900,7 +869,7 @@ mod tests {
         }
         let f = fixture(g, &ord, &kc.coreness, kc.degeneracy, &inc);
         let counters = Counters::default();
-        systematic_search(
+        systematic_search_on(
             &f.lg,
             &f.levels,
             f.degeneracy,
@@ -908,6 +877,7 @@ mod tests {
             &inc,
             &counters,
             &Deadline::none(),
+            None,
         );
         assert!(g.is_clique(&inc.clique()));
         inc.size()
@@ -951,7 +921,7 @@ mod tests {
         inc.offer(&[0, 1, 2, 3, 4, 5]);
         let f = fixture(&g, &ord, &kc.coreness, kc.degeneracy, &inc);
         let counters = Counters::default();
-        systematic_search(
+        systematic_search_on(
             &f.lg,
             &f.levels,
             f.degeneracy,
@@ -959,6 +929,7 @@ mod tests {
             &inc,
             &counters,
             &Deadline::none(),
+            None,
         );
         let snap = crate::metrics::snapshot_counters(&counters);
         assert_eq!(inc.size(), 6, "ω must not regress");
@@ -986,7 +957,7 @@ mod tests {
             let f = fixture(&g, &ord, &kc.coreness, kc.degeneracy, &inc);
             let counters = Counters::default();
             let cfg = Config::default().with_density_threshold(phi);
-            systematic_search(
+            systematic_search_on(
                 &f.lg,
                 &f.levels,
                 f.degeneracy,
@@ -994,6 +965,7 @@ mod tests {
                 &inc,
                 &counters,
                 &Deadline::none(),
+                None,
             );
             let snap = crate::metrics::snapshot_counters(&counters);
             if phi == 0.0 {

@@ -2,9 +2,9 @@
 //!
 //! `NeighborScratch` promises that once early neighbourhoods have warmed
 //! its buffers, every later search runs without touching the heap: the
-//! filter lists, the bit path's rows and live sets, the extracted
-//! matrices and both subgraph-solver arenas are all reshaped, never
-//! reallocated. A counting `GlobalAlloc` (installed only in this test
+//! filter lists, the probe path's hash table, the bit path's rows and
+//! live sets and the extracted matrices are all reshaped, never
+//! reallocated, and so are the arenas in the subgraph engines' pools. A counting `GlobalAlloc` (installed only in this test
 //! binary, counting per thread) holds it to that: one pass of
 //! `neighbor_search` over every vertex warms the scratch and the lazy
 //! graph, and a second, identical pass must allocate zero times.
@@ -108,4 +108,17 @@ fn neighbourhood_searches_are_allocation_free_after_warmup() {
     let (allocs, searched) = second_pass_allocs(&caves);
     assert!(searched > 0, "the sparse pass must reach detailed searches");
     assert_eq!(allocs, 0, "scalar-path pass allocated {allocs} times");
+
+    // K70 less two disjoint edges (ω = 68): once the first pass has found
+    // ω, neighbourhoods keep 66–69 candidates at slack |n1| − θ ≤ 3, too
+    // tight for bit rows, so every round probes through the hash table.
+    let n = 70u32;
+    let edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .filter(|&e| e != (0, 1) && e != (2, 3))
+        .collect();
+    let near_complete = CsrGraph::from_edges(n as usize, &edges);
+    let (allocs, searched) = second_pass_allocs(&near_complete);
+    assert!(searched > 0, "the hashed pass must reach detailed searches");
+    assert_eq!(allocs, 0, "hashed probe pass allocated {allocs} times");
 }

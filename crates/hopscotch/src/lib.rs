@@ -59,29 +59,51 @@ pub struct HopscotchSet {
 impl HopscotchSet {
     /// Creates an empty set sized for `expected` insertions without growth.
     pub fn with_capacity(expected: usize) -> Self {
+        let mut set = Self::unallocated();
+        set.reset(expected);
+        set
+    }
+
+    /// Creates an empty set with the default minimum capacity.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Empties the set and sizes it for `expected` insertions, as
+    /// [`HopscotchSet::with_capacity`] does, inside the existing
+    /// allocation whenever that is large enough — so a set rebuilt per
+    /// round over candidate lists of similar size stops allocating once
+    /// it has seen the largest.
+    pub fn reset(&mut self, expected: usize) {
         // Size so that `expected` keys stay under the load limit.
         let wanted = expected
             .saturating_mul(LOAD_DEN)
             .div_ceil(LOAD_NUM)
             .max(MIN_CAPACITY);
-        let cap = wanted.next_power_of_two();
-        Self::with_pow2_capacity(cap)
+        self.reshape(wanted.next_power_of_two());
     }
 
-    /// Creates an empty set with the default minimum capacity.
-    pub fn new() -> Self {
-        Self::with_pow2_capacity(MIN_CAPACITY)
-    }
-
-    fn with_pow2_capacity(cap: usize) -> Self {
-        debug_assert!(cap.is_power_of_two() && cap >= MIN_CAPACITY);
+    /// A set with no table yet; every constructor reshapes it at once.
+    fn unallocated() -> Self {
         HopscotchSet {
-            slots: vec![EMPTY; cap],
-            hop: vec![0u16; cap],
-            mask: cap - 1,
+            slots: Vec::new(),
+            hop: Vec::new(),
+            mask: 0,
             len: 0,
-            shift: 64 - cap.trailing_zeros(),
+            shift: 0,
         }
+    }
+
+    /// Empties the table and gives it `cap` slots.
+    fn reshape(&mut self, cap: usize) {
+        debug_assert!(cap.is_power_of_two() && cap >= MIN_CAPACITY);
+        self.slots.clear();
+        self.slots.resize(cap, EMPTY);
+        self.hop.clear();
+        self.hop.resize(cap, 0);
+        self.mask = cap - 1;
+        self.len = 0;
+        self.shift = 64 - cap.trailing_zeros();
     }
 
     /// Number of keys stored.
@@ -99,6 +121,11 @@ impl HopscotchSet {
     /// Current table capacity (diagnostics / tests).
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Heap bytes the table holds on to (pool retention bounds).
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * 4 + self.hop.capacity() * 2
     }
 
     /// Fibonacci multiplicative hash onto the table.
@@ -194,7 +221,8 @@ impl HopscotchSet {
     fn grow(&mut self) {
         let mut cap = self.slots.len() * 2;
         'retry: loop {
-            let mut bigger = Self::with_pow2_capacity(cap);
+            let mut bigger = Self::unallocated();
+            bigger.reshape(cap);
             for &k in &self.slots {
                 if k != EMPTY && !bigger.try_insert(k) {
                     // Chain failure right after doubling is extremely rare;
@@ -406,6 +434,27 @@ mod tests {
             s.insert(k.wrapping_mul(2_654_435_761));
         }
         assert_eq!(s.capacity(), cap, "pre-sized table should not grow");
+    }
+
+    #[test]
+    fn reset_empties_and_reuses_the_allocation() {
+        let mut s: HopscotchSet = (0..500u32).collect();
+        let bytes = s.heap_bytes();
+        let slots = s.slots.as_ptr();
+        s.reset(100);
+        assert!(s.is_empty());
+        assert_eq!(s.iter().count(), 0);
+        assert!(!s.contains(7));
+        assert_eq!(s.capacity(), HopscotchSet::with_capacity(100).capacity());
+        for k in 1000..1100u32 {
+            assert!(s.insert(k));
+        }
+        assert_eq!(s.len(), 100);
+        assert!(s.contains(1050) && !s.contains(50));
+        s.check_invariants().unwrap();
+        // Shrinking and refilling stayed inside the first allocation.
+        assert_eq!(s.slots.as_ptr(), slots);
+        assert_eq!(s.heap_bytes(), bytes);
     }
 
     #[test]

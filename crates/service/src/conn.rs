@@ -1,9 +1,9 @@
 //! Per-connection state machine: incremental HTTP/1.1 request parsing,
 //! buffered partial writes, keep-alive, and progress timeouts.
 //!
-//! A [`Conn`] owns one nonblocking socket registered with the reactor's
+//! A `Conn` owns one nonblocking socket registered with the reactor's
 //! poller. It never blocks: readable events append bytes to an input
-//! buffer that the incremental [`Parser`] consumes; complete requests are
+//! buffer that the incremental `Parser` consumes; complete requests are
 //! handed to the router; responses are queued into an output buffer that
 //! drains on writable events. The framing-hardening rules of the old
 //! blocking parser are preserved verbatim — duplicate/conflicting

@@ -3,11 +3,11 @@
 //! cancellable ticket, a cancellable deadline, and a *sink* that receives
 //! its one result:
 //!
-//! * [`JobSink::Sync`] — a [`Responder`] for the connection blocked (at
+//! * `JobSink::Sync` — a [`Responder`] for the connection blocked (at
 //!   the HTTP level only; no thread waits) on `POST /solve`.
-//! * [`JobSink::Async`] — the result is retained in the [`JobStore`] for
+//! * `JobSink::Async` — the result is retained in the [`JobStore`] for
 //!   `GET /jobs/<id>` polling, byte-bounded with TTL eviction.
-//! * [`JobSink::Batch`] — one slot of a [`BatchAggregator`]; the last
+//! * `JobSink::Batch` — one slot of a `BatchAggregator`; the last
 //!   slot to fill sends the combined array response.
 //!
 //! The store is the single place job state transitions happen, so
@@ -15,7 +15,7 @@
 //! *queued* job takes the sink and answers it immediately (the popped
 //! carcass is skipped by the worker); cancellation of a *running* job
 //! trips the ticket and the deadline, and the worker's completion — which
-//! always goes through [`JobStore::complete`] — reports it cancelled.
+//! always goes through `JobStore::complete` — reports it cancelled.
 
 use crate::conn::Response;
 use crate::plock;

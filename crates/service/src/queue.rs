@@ -8,9 +8,9 @@
 //!   then FIFO by admission sequence. The tie-break matters on a shared
 //!   pool: two jobs of equal priority should drain in the order they must
 //!   *finish*, not the order they happened to arrive.
-//! * **Cancellation** — [`JobTicket::cancel`] (or [`JobQueue::cancel`] by
-//!   id) marks a job; cancelled jobs still in the queue are discarded at
-//!   pop time, and jobs already running can poll their ticket.
+//! * **Cancellation** — [`JobTicket::cancel`] marks a job; cancelled jobs
+//!   still in the queue are discarded at pop time, and jobs already
+//!   running can poll their ticket.
 //! * Per-job time budgets are *not* this module's concern beyond ordering:
 //!   the server creates a [`lazymc_core::Deadline`] at push time, carries
 //!   it in the payload, and hands its expiry instant here so queue wait
@@ -19,7 +19,7 @@
 use crate::plock;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Push rejected: the queue is at capacity.
@@ -111,19 +111,12 @@ pub struct Popped<T> {
     pub payload: T,
 }
 
-struct State<T> {
-    heap: BinaryHeap<Queued<T>>,
-    closed: bool,
-}
-
 /// The queue. `T` is the job payload.
 pub struct JobQueue<T> {
-    state: Mutex<State<T>>,
-    available: Condvar,
+    heap: Mutex<BinaryHeap<Queued<T>>>,
     capacity: usize,
     next_id: AtomicU64,
     next_seq: AtomicU64,
-    pub submitted: AtomicU64,
     pub rejected: AtomicU64,
     pub cancelled: AtomicU64,
 }
@@ -132,15 +125,10 @@ impl<T> JobQueue<T> {
     /// A queue admitting at most `capacity` pending jobs (≥ 1).
     pub fn new(capacity: usize) -> JobQueue<T> {
         JobQueue {
-            state: Mutex::new(State {
-                heap: BinaryHeap::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
+            heap: Mutex::new(BinaryHeap::new()),
             capacity: capacity.max(1),
             next_id: AtomicU64::new(1),
             next_seq: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
         }
@@ -169,14 +157,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Admits a job with no deadline, or reports backpressure. Never
-    /// blocks.
-    pub fn push(&self, priority: u8, payload: T) -> Result<JobTicket, QueueFull> {
-        let ticket = self.ticket();
-        self.push_ticketed(priority, None, &ticket, payload)?;
-        Ok(ticket)
-    }
-
     /// Admits a job under a pre-reserved ticket. `deadline` is the
     /// wall-clock instant the job's budget expires (if any); equal
     /// priorities drain deadline-earliest. Never blocks.
@@ -188,14 +168,14 @@ impl<T> JobQueue<T> {
         payload: T,
     ) -> Result<(), QueueFull> {
         lazymc_chaos::point!("queue.push");
-        let mut state = plock(&self.state);
-        if state.heap.len() >= self.capacity {
+        let mut heap = plock(&self.heap);
+        if heap.len() >= self.capacity {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(QueueFull {
                 capacity: self.capacity,
             });
         }
-        state.heap.push(Queued {
+        heap.push(Queued {
             priority,
             deadline,
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
@@ -203,50 +183,19 @@ impl<T> JobQueue<T> {
             cancelled: ticket.cancelled.clone(),
             payload,
         });
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        self.available.notify_one();
         Ok(())
-    }
-
-    /// Blocks for the next runnable job; `None` once the queue is closed
-    /// and drained. Cancelled jobs are discarded here, not returned.
-    pub fn pop(&self) -> Option<(JobTicket, T)> {
-        let mut state = plock(&self.state);
-        loop {
-            while let Some(job) = state.heap.pop() {
-                if job.cancelled.load(Ordering::Relaxed) {
-                    self.cancelled.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                return Some((
-                    JobTicket {
-                        id: job.id,
-                        cancelled: job.cancelled,
-                    },
-                    job.payload,
-                ));
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// The ordering key `(priority, deadline, seq)` of the most urgent
     /// *uncancelled* pending job, without removing it. This is what a
     /// pull-based scheduler source reports as its head-of-queue urgency.
     pub fn peek_key(&self) -> Option<(u8, Option<Instant>, u64)> {
-        let mut state = plock(&self.state);
+        let mut heap = plock(&self.heap);
         // Reap cancelled heads so the reported key is a job that would
         // actually run; anything deeper stays until it surfaces.
-        while let Some(head) = state.heap.peek() {
+        while let Some(head) = heap.peek() {
             if head.cancelled.load(Ordering::Relaxed) {
-                state.heap.pop();
+                heap.pop();
                 self.cancelled.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -257,13 +206,12 @@ impl<T> JobQueue<T> {
 
     /// Non-blocking pop: the most urgent runnable job, or `None` if the
     /// queue is momentarily empty. Cancelled jobs are discarded here, not
-    /// returned. Unlike [`JobQueue::pop`] this never waits — the
-    /// scheduler's workers poll through their own doorbell, not a
-    /// queue-side condvar.
+    /// returned. It never waits — the scheduler's workers poll through
+    /// their own doorbell, not a queue-side condvar.
     pub fn try_pop(&self) -> Option<Popped<T>> {
         lazymc_chaos::point!("queue.pop");
-        let mut state = plock(&self.state);
-        while let Some(job) = state.heap.pop() {
+        let mut heap = plock(&self.heap);
+        while let Some(job) = heap.pop() {
             if job.cancelled.load(Ordering::Relaxed) {
                 self.cancelled.fetch_add(1, Ordering::Relaxed);
                 continue;
@@ -282,42 +230,22 @@ impl<T> JobQueue<T> {
         None
     }
 
-    /// Cancels a *pending* job by id. Returns whether a pending job was
-    /// found (a job already handed to a worker reports `false`; such jobs
-    /// are cancelled through their [`JobTicket`] instead).
-    pub fn cancel(&self, id: u64) -> bool {
-        let state = plock(&self.state);
-        for job in state.heap.iter() {
-            if job.id == id {
-                job.cancelled.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
     /// Jobs currently pending (cancelled-but-unreaped jobs included).
     pub fn depth(&self) -> usize {
-        plock(&self.state).heap.len()
+        plock(&self.heap).len()
     }
 
     /// Pending depth broken out by priority level, ascending by priority.
     /// Feeds the per-priority queue-depth gauge on `/metrics`.
     pub fn depth_by_priority(&self) -> Vec<(u8, usize)> {
-        let state = plock(&self.state);
+        let heap = plock(&self.heap);
         let mut counts = std::collections::BTreeMap::new();
-        for job in state.heap.iter() {
+        for job in heap.iter() {
             if !job.cancelled.load(Ordering::Relaxed) {
                 *counts.entry(job.priority).or_insert(0usize) += 1;
             }
         }
         counts.into_iter().collect()
-    }
-
-    /// Closes the queue: poppers drain what is left, then see `None`.
-    pub fn close(&self) {
-        plock(&self.state).closed = true;
-        self.available.notify_all();
     }
 }
 
@@ -327,63 +255,49 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Admits `payload` under a fresh ticket with no deadline, as the
+    /// server admits an unbudgeted job.
+    fn admit<T>(q: &JobQueue<T>, priority: u8, payload: T) -> Result<JobTicket, QueueFull> {
+        let ticket = q.ticket();
+        q.push_ticketed(priority, None, &ticket, payload)
+            .map(|()| ticket)
+    }
+
     #[test]
     fn priority_then_fifo_order() {
         let q = JobQueue::new(10);
-        q.push(1, "low-1").unwrap();
-        q.push(5, "high-1").unwrap();
-        q.push(1, "low-2").unwrap();
-        q.push(5, "high-2").unwrap();
-        let order: Vec<&str> = (0..4).map(|_| q.pop().unwrap().1).collect();
+        admit(&q, 1, "low-1").unwrap();
+        admit(&q, 5, "high-1").unwrap();
+        admit(&q, 1, "low-2").unwrap();
+        admit(&q, 5, "high-2").unwrap();
+        let order: Vec<&str> = (0..4).map(|_| q.try_pop().unwrap().payload).collect();
         assert_eq!(order, vec!["high-1", "high-2", "low-1", "low-2"]);
     }
 
     #[test]
     fn backpressure_when_full() {
         let q = JobQueue::new(2);
-        q.push(0, 1).unwrap();
-        q.push(0, 2).unwrap();
-        let err = q.push(0, 3).unwrap_err();
+        admit(&q, 0, 1).unwrap();
+        admit(&q, 0, 2).unwrap();
+        let err = admit(&q, 0, 3).unwrap_err();
         assert_eq!(err.capacity, 2);
         assert_eq!(q.rejected.load(Ordering::Relaxed), 1);
         assert_eq!(q.depth(), 2);
         // Draining one readmits.
-        q.pop().unwrap();
-        assert!(q.push(0, 3).is_ok());
+        q.try_pop().unwrap();
+        assert!(admit(&q, 0, 3).is_ok());
     }
 
     #[test]
     fn cancelled_jobs_are_skipped() {
         let q = JobQueue::new(10);
-        let t1 = q.push(3, "a").unwrap();
-        q.push(2, "b").unwrap();
+        let t1 = admit(&q, 3, "a").unwrap();
+        admit(&q, 2, "b").unwrap();
         t1.cancel();
         assert!(t1.is_cancelled());
-        let (_, payload) = q.pop().unwrap();
-        assert_eq!(payload, "b", "cancelled job must not run");
+        let popped = q.try_pop().unwrap();
+        assert_eq!(popped.payload, "b", "cancelled job must not run");
         assert_eq!(q.cancelled.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn cancel_by_id_only_hits_pending() {
-        let q = JobQueue::new(10);
-        let t = q.push(0, ()).unwrap();
-        assert!(q.cancel(t.id));
-        assert!(!q.cancel(9999));
-        // The cancelled job is reaped rather than returned.
-        q.close();
-        assert!(q.pop().is_none());
-        assert_eq!(q.cancelled.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn close_unblocks_waiting_workers() {
-        let q = Arc::new(JobQueue::<u32>::new(4));
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        q.close();
-        assert!(h.join().unwrap().is_none());
     }
 
     #[test]
@@ -435,10 +349,10 @@ mod tests {
     #[test]
     fn depth_by_priority_counts_runnable_jobs() {
         let q = JobQueue::new(10);
-        q.push(1, "a").unwrap();
-        q.push(1, "b").unwrap();
-        let t = q.push(4, "c").unwrap();
-        q.push(9, "d").unwrap();
+        admit(&q, 1, "a").unwrap();
+        admit(&q, 1, "b").unwrap();
+        let t = admit(&q, 4, "c").unwrap();
+        admit(&q, 9, "d").unwrap();
         assert_eq!(q.depth_by_priority(), vec![(1, 2), (4, 1), (9, 1)]);
         t.cancel();
         assert_eq!(q.depth_by_priority(), vec![(1, 2), (9, 1)]);
@@ -448,12 +362,13 @@ mod tests {
     fn concurrent_producers_and_consumers_conserve_jobs() {
         let q = Arc::new(JobQueue::<u64>::new(1_000));
         let consumed = Arc::new(AtomicU64::new(0));
+        let produced = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for p in 0..4u64 {
             let q = q.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    while q.push((p % 3) as u8, p * 1000 + i).is_err() {
+                    while admit(&q, (p % 3) as u8, p * 1000 + i).is_err() {
                         std::thread::yield_now();
                     }
                 }
@@ -463,16 +378,24 @@ mod tests {
         for _ in 0..3 {
             let q = q.clone();
             let consumed = consumed.clone();
-            consumers.push(std::thread::spawn(move || {
-                while q.pop().is_some() {
-                    consumed.fetch_add(1, Ordering::Relaxed);
+            let produced = produced.clone();
+            consumers.push(std::thread::spawn(move || loop {
+                // Read the flag before popping: once every producer has
+                // finished, an empty pop means the queue is drained.
+                let finished = produced.load(Ordering::SeqCst);
+                match q.try_pop() {
+                    Some(_) => {
+                        consumed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    None if finished => break,
+                    None => std::thread::yield_now(),
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        q.close();
+        produced.store(true, Ordering::SeqCst);
         for h in consumers {
             h.join().unwrap();
         }

@@ -1,5 +1,5 @@
 //! The event loop: one reactor thread per `--io-threads`, each owning an
-//! epoll [`Poller`](lazymc_netio::Poller), its share of the connections,
+//! epoll [`Poller`], its share of the connections,
 //! and (for reactor 0) the nonblocking listener.
 //!
 //! The reactor never computes and never blocks: it accepts, reads bytes

@@ -15,11 +15,11 @@
 //! * **Scheduler workers** (`--solver-workers` sizes the pool) belong to
 //!   one machine-wide [`lazymc_sched::Pool`]. The bounded priority queue
 //!   is plugged in as the pool's [`JobSource`]: an idle worker pulls the
-//!   most urgent [`SolveJob`] (priority desc, deadline-earliest, FIFO) and
+//!   most urgent `SolveJob` (priority desc, deadline-earliest, FIFO) and
 //!   runs the whole solve as a root task; the solve's own subtree scopes
 //!   land in the *same* pool, so idle workers steal into a running solve
 //!   instead of sitting behind a per-job thread team. Results flow back
-//!   through the [`JobStore`](crate::jobs::JobStore): to the waiting
+//!   through the [`JobStore`]: to the waiting
 //!   connection (sync), into the store (`?async=1`), or into a batch slot.
 //!
 //! A solve request therefore costs: parse → registry lookup → result-cache
@@ -118,17 +118,15 @@ pub struct ServiceConfig {
     /// `SO_SNDBUF` request for accepted sockets (`None` = kernel default).
     /// Mostly a test hook: tiny buffers force the partial-write path.
     pub so_sndbuf: Option<usize>,
-    /// Emit one structured JSON log line per request and per solve to
-    /// stdout (`--log-json`). Superseded by `log_sink` when set.
-    pub log_json: bool,
     /// Completed solves whose total (parse + wait + solve + serialize)
     /// reaches this many milliseconds enter the `GET /debug/slow` log.
     pub slow_query_ms: u64,
     /// How many slow solves `GET /debug/slow` retains (keep-the-worst).
     pub slow_log_len: usize,
-    /// Explicit log destination; overrides `log_json`. Tests use
+    /// Where the structured JSON log lines go, one per request and per
+    /// solve: nowhere by default, stdout under `--log-json`. Tests use
     /// `LogSink::capture()` to assert on emitted lines.
-    pub log_sink: Option<LogSink>,
+    pub log_sink: LogSink,
     /// Queue-delay target for the CoDel-style shedding controller,
     /// milliseconds. While observed queue waits stay above it for a full
     /// controller interval, lowest-priority admissions are refused with
@@ -180,10 +178,9 @@ impl Default for ServiceConfig {
             mmap_threshold_bytes: crate::registry::DEFAULT_MMAP_THRESHOLD,
             max_budget_ms: None,
             so_sndbuf: None,
-            log_json: false,
             slow_query_ms: 500,
             slow_log_len: 32,
-            log_sink: None,
+            log_sink: LogSink::Null,
             queue_delay_target_ms: None,
             max_memory_bytes: None,
             drain_timeout: Duration::from_secs(10),
@@ -357,11 +354,7 @@ impl ServiceState {
             jobs: JobStore::new(cfg.job_ttl, cfg.job_store_bytes),
             metrics: ServiceMetrics::default(),
             obs: ServiceObs::new(
-                cfg.log_sink.clone().unwrap_or(if cfg.log_json {
-                    LogSink::Stdout
-                } else {
-                    LogSink::Null
-                }),
+                cfg.log_sink.clone(),
                 cfg.slow_query_ms,
                 cfg.slow_log_len.max(1),
             ),
@@ -478,21 +471,13 @@ impl ServiceHandle {
         while !self.state.is_draining() && !self.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(20));
         }
-        let drain_start = Instant::now();
-        while (self.state.queue.depth() > 0
-            || self.state.jobs.jobs_inflight.load(Ordering::Relaxed) > 0)
-            && drain_start.elapsed() < self.drain_timeout
-        {
-            self.state.sched.notify_source();
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.settle(self.drain_timeout);
     }
 
     /// Stops accepting, severs open connections, drains the queue, joins
     /// every worker — including the scheduler pool's.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue.close();
         for r in &self.reactors {
             r.notify();
         }
@@ -503,16 +488,22 @@ impl ServiceHandle {
         // are gone, so nothing new arrives; wait (bounded) for the pool to
         // empty the queue and finish in-flight solves, then join it.
         // `Pool::shutdown` itself waits for whatever is mid-run.
-        let drain_start = Instant::now();
+        self.settle(Duration::from_secs(10));
+        if let Some(mut pool) = plock(&self.state.sched_pool).take() {
+            pool.shutdown();
+        }
+    }
+
+    /// Waits until no job is queued or running, or `timeout` elapses,
+    /// ringing the pool's doorbell so idle workers pull what is queued.
+    fn settle(&self, timeout: Duration) {
+        let start = Instant::now();
         while (self.state.queue.depth() > 0
             || self.state.jobs.jobs_inflight.load(Ordering::Relaxed) > 0)
-            && drain_start.elapsed() < Duration::from_secs(10)
+            && start.elapsed() < timeout
         {
             self.state.sched.notify_source();
             std::thread::sleep(Duration::from_millis(2));
-        }
-        if let Some(mut pool) = plock(&self.state.sched_pool).take() {
-            pool.shutdown();
         }
     }
 }

@@ -347,7 +347,7 @@ fn debug_slow_serves_span_trees() {
 fn log_json_lines_parse_and_carry_the_trace() {
     let (sink, lines) = LogSink::capture();
     let handle = start(ServiceConfig {
-        log_sink: Some(sink),
+        log_sink: sink,
         ..ServiceConfig::default()
     });
     let mut c = Client::connect(handle.addr());

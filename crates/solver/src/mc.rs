@@ -6,20 +6,27 @@
 //! the whole remaining prefix — plus incumbent-size pruning. It operates on
 //! the bit-matrix adjacency of the (small, dense) filtered neighbourhood.
 //!
+//! [`max_clique_dense`] is the engine's one entry. Given a
+//! [`Split`](crate::Split) of width ≥ 2 and at least 32 candidates, it
+//! splits the top branch levels into subtree tasks on the scheduler pool
+//! against one shared incumbent; otherwise it runs the sequential kernel,
+//! whose node counts are deterministic.
+//!
 //! All per-node state — the candidate set, color order and bounds of every
 //! depth, the current and best cliques, the coloring buffers — lives in a
-//! reusable [`McScratch`] arena. A node expansion performs **zero heap
-//! allocations** once the arena is warm (verified by the counting-allocator
-//! test in `tests/zero_alloc.rs`); the paper's work-avoidance thesis cuts
-//! both ways, and per-node `memcpy`+`malloc` of bitsets was the largest
-//! avoidable work left in the innermost loop.
+//! reusable arena checked out of the `MC_WORKER` pool. A node expansion
+//! performs **zero heap allocations** once the arena is warm (verified by
+//! the counting-allocator tests in `tests/zero_alloc.rs` and in this module);
+//! the paper's work-avoidance thesis cuts both ways, and per-node
+//! `memcpy`+`malloc` of bitsets was the largest avoidable work left in the
+//! innermost loop.
 
 use crate::bitset::{BitMatrix, Bitset};
 use crate::coloring::{color_order_scratch, ColorScratch};
 use crate::live::LiveNodes;
-use crate::par::{SharedBest, StopFn};
-use crate::scratch::Pool;
-use lazymc_sched::{SchedHandle, Scope, TaskMeta};
+use crate::par::{Run, SharedBest, SPLIT_MIN_VERTICES};
+use crate::scratch::{Pool, MAX_RETAINED_BYTES};
+use lazymc_sched::Scope;
 use std::sync::Mutex;
 
 /// Search statistics, used by the work-accounting figures.
@@ -64,12 +71,11 @@ struct DepthScratch {
 }
 
 /// Reusable arena for the dense MC search: all per-depth state plus the
-/// coloring buffers and the clique vectors. Hold one per worker and thread
-/// it through [`max_clique_dense_scratch`] to make every node expansion
-/// allocation-free after warm-up; buffers grow monotonically and are
+/// coloring buffers and the clique vectors. Every node expansion is
+/// allocation-free once it is warm; buffers grow monotonically and are
 /// reshaped (never reallocated, once large enough) between solves.
 #[derive(Default)]
-pub struct McScratch {
+struct McScratch {
     depths: Vec<DepthScratch>,
     color: ColorScratch,
     current: Vec<u32>,
@@ -77,13 +83,8 @@ pub struct McScratch {
 }
 
 impl McScratch {
-    /// An empty arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Heap bytes retained by the arena (pool retention bound).
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         self.color.heap_bytes()
             + (self.current.capacity() + self.best_clique.capacity()) * 4
             + self
@@ -216,74 +217,22 @@ impl<L: IncumbentLink> Searcher<'_, L> {
     }
 }
 
-/// The scratch-arena entry point: finds a maximum clique of the subgraph
-/// induced by `within` *if it is larger than `lb`*, writing the witness
-/// into `out` and returning whether one was found. `out` is cleared either
-/// way. With a warm `scratch` (and `out` at capacity), the search performs
-/// no heap allocation at all. The search drains its node count into `live`
-/// every few thousand expansions so an observer can watch a long solve
-/// move; `LiveNodes::NONE` observes nothing.
-pub fn max_clique_dense_scratch(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    stats: Option<&mut McStats>,
-    scratch: &mut McScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if adj.is_empty() || within.len() <= lb {
-        return false;
-    }
-    if scratch.depths.is_empty() {
-        scratch.depths.push(DepthScratch::default());
-    }
-    scratch.depths[0].cand.copy_from(within);
-    scratch.current.clear();
-    scratch.best_clique.clear();
-    let mut s = Searcher {
-        adj,
-        best: lb,
-        found: false,
-        stats: McStats::default(),
-        scratch,
-        link: NoLink,
-        live,
-    };
-    s.expand(0);
-    let (found, local) = (s.found, s.stats);
-    if let Some(o) = stats {
-        o.nodes += local.nodes;
-        o.sampled += local.sampled;
-    }
-    if found {
-        out.extend_from_slice(&scratch.best_clique);
-    }
-    found
-}
-
-/// Runs one split subtree task — the body of a parallel worker — against a
-/// shared incumbent: the search is rooted at the branch prefix `prefix`
-/// (already-chosen clique vertices) with residual candidate set `cand`,
-/// bounds against `max(shared.size(), …)` before coloring every node, and
-/// publishes improvements through `shared` the instant they are found.
-/// With a warm `scratch` this performs no heap allocation (the per-worker
-/// steady state the zero-alloc tests pin down); the witness of any
-/// improvement lives in `shared`, not in a return value. Node counts are
-/// sampled into `live` as in [`max_clique_dense_scratch`].
-pub fn max_clique_dense_subtree(
+/// Runs the branch-and-bound over `cand` below the clique `prefix` on
+/// `scratch`, accepting only cliques larger than `floor`: the sequential
+/// kernel with [`NoLink`], the body of a split worker with [`SharedLink`]
+/// (which bounds against the shared incumbent before coloring every node
+/// and publishes improvements the instant they are found). Returns
+/// whether a clique was found, left in `scratch.best_clique`, and the
+/// run's statistics. Allocation-free on a warm arena.
+fn search<L: IncumbentLink>(
     adj: &BitMatrix,
     cand: &Bitset,
     prefix: &[u32],
-    shared: &SharedBest,
-    stats: Option<&mut McStats>,
-    scratch: &mut McScratch,
+    floor: usize,
+    link: L,
     live: LiveNodes<'_>,
-) {
-    if adj.is_empty() || cand.is_empty() {
-        return;
-    }
+    scratch: &mut McScratch,
+) -> (bool, McStats) {
     if scratch.depths.is_empty() {
         scratch.depths.push(DepthScratch::default());
     }
@@ -293,28 +242,20 @@ pub fn max_clique_dense_subtree(
     scratch.best_clique.clear();
     let mut s = Searcher {
         adj,
-        best: shared.size(),
+        best: floor,
         found: false,
         stats: McStats::default(),
         scratch,
-        link: SharedLink(shared),
+        link,
         live,
     };
     s.expand(0);
-    let local = s.stats;
-    if let Some(o) = stats {
-        o.nodes += local.nodes;
-        o.sampled += local.sampled;
-    }
+    (s.found, s.stats)
 }
 
 // ---------------------------------------------------------------------------
 // Work-splitting driver on the machine-wide scheduler
 // ---------------------------------------------------------------------------
-
-/// Below this many candidates a parallel solve is not worth splitting:
-/// the subtree tasks would cost more to generate and claim than to run.
-const SPLIT_MIN_VERTICES: usize = 32;
 
 /// One branch-prefix subtree task: up to two chosen vertices plus the
 /// residual candidate set and the color bound at generation time.
@@ -361,13 +302,9 @@ impl McSplitScratch {
     }
 }
 
-/// Arenas grown past this bound by an outlier instance are dropped on
-/// return instead of pinned in the static pools for the process lifetime.
-const MAX_RETAINED_PAR_BYTES: usize = 8 << 20;
-
-static MC_WORKER: Pool<McScratch> = Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_PAR_BYTES);
-static MC_SPLIT: Pool<McSplitScratch> =
-    Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_PAR_BYTES);
+/// Search arenas of the sequential kernel and of every subtree worker.
+static MC_WORKER: Pool<McScratch> = Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_BYTES);
+static MC_SPLIT: Pool<McSplitScratch> = Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_BYTES);
 
 /// Appends one task slot (reusing a warm slot when available) and returns
 /// the count of live tasks.
@@ -480,58 +417,65 @@ struct McArena {
     live: usize,
 }
 
-/// Maximum clique of the subgraph induced by `within` (if larger than
-/// `lb`) on the machine-wide scheduler: the top branch levels become
-/// claimable scope units that any idle pool worker — including workers
-/// of *other* solves between their own claims — can execute against this
-/// job's [`SharedBest`]. Units re-split one level deeper when the pool
-/// reports idle capacity, and `should_stop` (deadline / cancellation)
-/// halts every stolen subtree mid-search via the shared incumbent's halt
-/// flag.
+/// Finds a maximum clique of the subgraph of `adj` induced by `within`
+/// *if it is larger than `lb`*, writing the witness into `out` (cleared
+/// either way) and returning whether one was found. `stats`, when given,
+/// accumulates the work done.
 ///
-/// `width <= 1` runs the bit-identical sequential kernel and never
-/// touches the scheduler. Node counts above that depend on scheduling;
-/// the *result* does not.
-#[allow(clippy::too_many_arguments)]
-pub fn max_clique_dense_sched(
+/// Runs the sequential kernel unless `run` splits (see [`Run`]). A split
+/// solve turns its top branch levels into claimable scope units that any
+/// idle pool worker — including workers of *other* solves between their
+/// own claims — executes against this solve's [`SharedBest`]. Units
+/// re-split one level deeper when the pool reports idle capacity, and
+/// `run.stop` halts every stolen subtree mid-search via the shared
+/// incumbent's halt flag. Node counts of a split solve depend on
+/// scheduling; the *result* does not.
+pub fn max_clique_dense(
     adj: &BitMatrix,
     within: &Bitset,
     lb: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
+    run: Run<'_>,
     stats: Option<&mut McStats>,
     out: &mut Vec<u32>,
-    sink: LiveNodes<'_>,
 ) -> bool {
     out.clear();
     if adj.is_empty() || within.len() <= lb {
         return false;
     }
-    if width <= 1 || within.len() < SPLIT_MIN_VERTICES {
-        return MC_WORKER
-            .with(|scr| max_clique_dense_scratch(adj, within, lb, stats, scr, out, sink));
-    }
+    let Some(split) = run.split_for(within.len()) else {
+        let (found, local) = MC_WORKER.with(|scr| {
+            let r = search(adj, within, &[], lb, NoLink, run.live, scr);
+            if r.0 {
+                out.extend_from_slice(&scr.best_clique);
+            }
+            r
+        });
+        if let Some(s) = stats {
+            s.merge(&local);
+        }
+        return found;
+    };
     let shared = SharedBest::with_floor(lb);
     shared.reserve(within.len());
     let mut local = McStats::default();
-    let mut split = MC_SPLIT.take();
-    let live = gen_mc_tasks(adj, within, width, &shared, &mut split, &mut local);
+    let mut gen = MC_SPLIT.take();
+    let live = gen_mc_tasks(adj, within, split.width, &shared, &mut gen, &mut local);
     local.split_tasks += live as u64;
     if live > 0 {
         let arena = Mutex::new(McArena {
-            tasks: std::mem::take(&mut split.tasks),
+            tasks: std::mem::take(&mut gen.tasks),
             live,
         });
         let agg = Mutex::new(McStats::default());
-        sched.scope(meta, width - 1, live, &|sc, i| {
-            mc_sched_unit(adj, &arena, i, &shared, should_stop, &agg, sc, sink);
-        });
+        split
+            .sched
+            .scope(split.meta, split.width - 1, live, &|sc, i| {
+                mc_sched_unit(adj, &arena, i, &shared, run, &agg, sc);
+            });
         local.merge(&agg.into_inner().unwrap());
-        split.tasks = arena.into_inner().unwrap().tasks;
+        gen.tasks = arena.into_inner().unwrap().tasks;
     }
-    MC_SPLIT.put(split);
+    MC_SPLIT.put(gen);
     local.incumbent_broadcasts += shared.broadcasts();
     if let Some(s) = stats {
         s.merge(&local);
@@ -544,22 +488,20 @@ pub fn max_clique_dense_sched(
 /// subtree against the shared incumbent. Steady-state allocation-free:
 /// the task stays in pooled buffers, the worker arena comes from
 /// [`MC_WORKER`].
-#[allow(clippy::too_many_arguments)]
 fn mc_sched_unit(
     adj: &BitMatrix,
     arena: &Mutex<McArena>,
     i: usize,
     shared: &SharedBest,
-    should_stop: Option<StopFn<'_>>,
+    run: Run<'_>,
     agg: &Mutex<McStats>,
     sc: &Scope<'_>,
-    sink: LiveNodes<'_>,
 ) {
     let mut stats = McStats::default();
     if sc.is_helper() {
         stats.steals += 1;
     }
-    if let Some(stop) = should_stop {
+    if let Some(stop) = run.stop {
         if !shared.halted() && stop() {
             shared.halt();
         }
@@ -573,17 +515,20 @@ fn mc_sched_unit(
             if t.plen == 1 && t.cand.len() >= SPLIT_MIN_VERTICES && sc.idle_workers() > 0 {
                 resplit_mc_task(adj, arena, &t, shared, sc, &mut stats);
             } else {
-                let mut scratch = MC_WORKER.take();
-                max_clique_dense_subtree(
-                    adj,
-                    &t.cand,
-                    &t.prefix[..t.plen as usize],
-                    shared,
-                    Some(&mut stats),
-                    &mut scratch,
-                    sink,
-                );
-                MC_WORKER.put(scratch);
+                let prefix = &t.prefix[..t.plen as usize];
+                let floor = shared.size();
+                let (_, local) = MC_WORKER.with(|scr| {
+                    search(
+                        adj,
+                        &t.cand,
+                        prefix,
+                        floor,
+                        SharedLink(shared),
+                        run.live,
+                        scr,
+                    )
+                });
+                stats.merge(&local);
             }
         }
         // Return the slot (and its warm buffers) for later solves.
@@ -642,46 +587,6 @@ fn resplit_mc_task(
     sc.publish(fresh);
 }
 
-/// Finds a maximum clique of the graph *if it is larger than `lb`*.
-///
-/// Returns `Some(clique)` with `clique.len() == ω(G) > lb`, or `None` when
-/// `ω(G) <= lb` — the caller's incumbent already covers this subgraph.
-/// `stats`, when provided, accumulates node counts.
-pub fn max_clique_dense(
-    adj: &BitMatrix,
-    lb: usize,
-    stats: Option<&mut McStats>,
-) -> Option<Vec<u32>> {
-    let n = adj.len();
-    if n == 0 || n <= lb {
-        return None;
-    }
-    max_clique_dense_within(adj, &Bitset::full(n), lb, stats)
-}
-
-/// [`max_clique_dense`] restricted to the vertices of `within` — used when
-/// a reduction pass has already discarded part of the subgraph. One-shot
-/// convenience over [`max_clique_dense_scratch`].
-pub fn max_clique_dense_within(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    stats: Option<&mut McStats>,
-) -> Option<Vec<u32>> {
-    let mut scratch = McScratch::default();
-    let mut out = Vec::new();
-    max_clique_dense_scratch(
-        adj,
-        within,
-        lb,
-        stats,
-        &mut scratch,
-        &mut out,
-        LiveNodes::NONE,
-    )
-    .then_some(out)
-}
-
 /// Iterated degree reduction within a candidate set: removes every vertex
 /// whose candidate-degree cannot complete a clique of size > `lb`, to a
 /// fixpoint. This is the "MC-BRB-style filtering inside the subgraph" the
@@ -711,14 +616,10 @@ pub fn reduce_candidates(adj: &BitMatrix, within: &mut Bitset, lb: usize) -> usi
     }
 }
 
-/// Exact maximum clique (no prior bound). Empty graph → empty clique.
-pub fn max_clique_exact(adj: &BitMatrix) -> Vec<u32> {
-    max_clique_dense(adj, 0, None).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{exact_clique, pseudo_graph as pseudo_dense, test_pool, thread_allocs};
 
     fn from_edges(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
         let mut m = BitMatrix::new(n);
@@ -728,10 +629,24 @@ mod tests {
         m
     }
 
+    /// The sequential entry on the whole matrix above `lb`.
+    fn dense(m: &BitMatrix, lb: usize, stats: Option<&mut McStats>) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        max_clique_dense(
+            m,
+            &Bitset::full(m.len()),
+            lb,
+            Run::default(),
+            stats,
+            &mut out,
+        )
+        .then_some(out)
+    }
+
     #[test]
     fn triangle() {
         let m = from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let c = max_clique_exact(&m);
+        let c = exact_clique(&m);
         assert_eq!(c.len(), 3);
         assert!(m.is_clique(&c));
     }
@@ -744,27 +659,27 @@ mod tests {
                 m.add_edge(u, v);
             }
         }
-        assert_eq!(max_clique_exact(&m).len(), 7);
+        assert_eq!(exact_clique(&m).len(), 7);
     }
 
     #[test]
     fn edgeless_graph_clique_is_single_vertex() {
         let m = BitMatrix::new(5);
-        assert_eq!(max_clique_exact(&m).len(), 1);
+        assert_eq!(exact_clique(&m).len(), 1);
     }
 
     #[test]
     fn empty_graph() {
         let m = BitMatrix::new(0);
-        assert!(max_clique_exact(&m).is_empty());
+        assert!(exact_clique(&m).is_empty());
     }
 
     #[test]
     fn lower_bound_suppresses_result() {
         let m = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert!(max_clique_dense(&m, 3, None).is_none());
-        assert!(max_clique_dense(&m, 4, None).is_none());
-        assert_eq!(max_clique_dense(&m, 2, None).unwrap().len(), 3);
+        assert!(dense(&m, 3, None).is_none());
+        assert!(dense(&m, 4, None).is_none());
+        assert_eq!(dense(&m, 2, None).unwrap().len(), 3);
     }
 
     #[test]
@@ -778,7 +693,7 @@ mod tests {
         }
         edges.push((2, 3)); // bridge
         let m = from_edges(7, &edges);
-        let c = max_clique_exact(&m);
+        let c = exact_clique(&m);
         assert_eq!(c.len(), 4);
         let mut c = c;
         c.sort_unstable();
@@ -794,14 +709,14 @@ mod tests {
         let edges: Vec<(usize, usize)> =
             outer.iter().chain(&spokes).chain(&inner).copied().collect();
         let m = from_edges(10, &edges);
-        assert_eq!(max_clique_exact(&m).len(), 2);
+        assert_eq!(exact_clique(&m).len(), 2);
     }
 
     #[test]
     fn stats_count_nodes() {
         let m = from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)]);
         let mut st = McStats::default();
-        let c = max_clique_dense(&m, 0, Some(&mut st));
+        let c = dense(&m, 0, Some(&mut st));
         assert_eq!(c.unwrap().len(), 3);
         assert!(st.nodes > 0);
     }
@@ -809,9 +724,8 @@ mod tests {
     #[test]
     fn scratch_reuse_across_solves_and_sizes() {
         // One arena, many subgraphs of different sizes: results must match
-        // fresh-scratch runs exactly (stale per-depth state must not leak).
-        let mut scratch = McScratch::new();
-        let mut out = Vec::new();
+        // the known ω exactly (stale per-depth state must not leak).
+        let mut scratch = McScratch::default();
         let graphs: Vec<(BitMatrix, usize)> = vec![
             (from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]), 3),
             (from_edges(100, &[(0, 99), (99, 50), (50, 0)]), 3),
@@ -819,36 +733,20 @@ mod tests {
             (from_edges(3, &[(0, 1), (1, 2), (2, 0)]), 3),
         ];
         for (m, omega) in &graphs {
-            let found = max_clique_dense_scratch(
-                m,
-                &Bitset::full(m.len()),
-                0,
-                None,
-                &mut scratch,
-                &mut out,
-                LiveNodes::NONE,
-            );
+            let within = Bitset::full(m.len());
+            let (found, _) = search(m, &within, &[], 0, NoLink, LiveNodes::NONE, &mut scratch);
             assert!(found);
-            assert_eq!(out.len(), *omega);
-            assert!(m.is_clique(&out));
+            assert_eq!(scratch.best_clique.len(), *omega);
+            assert!(m.is_clique(&scratch.best_clique));
         }
-        // lb suppression leaves out empty
+        // lb suppression finds nothing
         let (m, _) = &graphs[0];
-        assert!(!max_clique_dense_scratch(
-            m,
-            &Bitset::full(m.len()),
-            4,
-            None,
-            &mut scratch,
-            &mut out,
-            LiveNodes::NONE,
-        ));
-        assert!(out.is_empty());
+        let within = Bitset::full(m.len());
+        let (found, _) = search(m, &within, &[], 4, NoLink, LiveNodes::NONE, &mut scratch);
+        assert!(!found);
     }
 
-    use crate::test_util::{pseudo_graph as pseudo_dense, test_pool};
-
-    /// The scheduler driver at `width` on the shared test pool.
+    /// The entry split at `width` on the shared test pool.
     fn dense_sched(
         m: &BitMatrix,
         lb: usize,
@@ -856,25 +754,23 @@ mod tests {
         stats: Option<&mut McStats>,
         out: &mut Vec<u32>,
     ) -> bool {
-        max_clique_dense_sched(
-            m,
-            &Bitset::full(m.len()),
-            lb,
-            &test_pool(),
-            TaskMeta::adhoc(),
-            width,
-            None,
-            stats,
-            out,
-            LiveNodes::NONE,
-        )
+        let pool = test_pool();
+        let run = Run {
+            split: Some(crate::Split {
+                sched: &pool,
+                meta: lazymc_sched::TaskMeta::adhoc(),
+                width,
+            }),
+            ..Run::default()
+        };
+        max_clique_dense(m, &Bitset::full(m.len()), lb, run, stats, out)
     }
 
     #[test]
     fn parallel_matches_sequential() {
         for (n, p, seed) in [(60, 400, 3), (80, 550, 11), (48, 700, 29)] {
             let m = pseudo_dense(n, p, seed);
-            let expect = max_clique_exact(&m);
+            let expect = exact_clique(&m);
             for threads in [2, 4, 8] {
                 let mut out = Vec::new();
                 let mut st = McStats::default();
@@ -891,7 +787,7 @@ mod tests {
     #[test]
     fn parallel_respects_lower_bound() {
         let m = pseudo_dense(64, 500, 5);
-        let omega = max_clique_exact(&m).len();
+        let omega = exact_clique(&m).len();
         let mut out = Vec::new();
         assert!(!dense_sched(&m, omega, 4, None, &mut out));
         assert!(out.is_empty());
@@ -905,7 +801,7 @@ mod tests {
         // to the sequential kernel (deterministic fallback).
         let m = pseudo_dense(20, 500, 7);
         let mut seq = McStats::default();
-        let expect = max_clique_dense(&m, 0, Some(&mut seq)).unwrap();
+        let expect = dense(&m, 0, Some(&mut seq)).unwrap();
         let mut out = Vec::new();
         let mut par = McStats::default();
         assert!(dense_sched(&m, 0, 8, Some(&mut par), &mut out));
@@ -917,19 +813,20 @@ mod tests {
     #[test]
     fn subtree_task_publishes_through_shared_incumbent() {
         let m = pseudo_dense(40, 600, 13);
-        let omega = max_clique_exact(&m).len();
-        let shared = crate::par::SharedBest::with_floor(0);
-        let mut scratch = McScratch::new();
+        let omega = exact_clique(&m).len();
+        let shared = SharedBest::with_floor(0);
+        let mut scratch = McScratch::default();
         // A task rooted at the empty prefix over the full candidate set is
         // the whole search: the shared incumbent must end at ω.
-        max_clique_dense_subtree(
+        let cand = Bitset::full(40);
+        search(
             &m,
-            &Bitset::full(40),
+            &cand,
             &[],
-            &shared,
-            None,
-            &mut scratch,
+            0,
+            SharedLink(&shared),
             LiveNodes::NONE,
+            &mut scratch,
         );
         assert_eq!(shared.size(), omega);
         let mut out = Vec::new();
@@ -937,6 +834,57 @@ mod tests {
         assert_eq!(out.len(), omega);
         assert!(m.is_clique(&out));
         assert!(shared.broadcasts() > 0);
+    }
+
+    #[test]
+    fn parallel_mc_worker_is_allocation_free_after_warmup() {
+        // The body of a split worker: a branch-prefix task run against a
+        // shared incumbent. After one warm-up run, a worker's steady state
+        // — node expansions, bound refreshes from the shared atomic, *and*
+        // incumbent publications (the witness buffer is pre-reserved, as
+        // the split solve does) — must not touch the heap.
+        let adj = pseudo_dense(120, 550, 42);
+        let cand = Bitset::full(adj.len());
+        let mut scratch = McScratch::default();
+        let run = |shared: &SharedBest, scratch: &mut McScratch| {
+            let floor = shared.size();
+            let link = SharedLink(shared);
+            search(&adj, &cand, &[], floor, link, LiveNodes::NONE, scratch);
+        };
+
+        // Warm-up: grows the arena and establishes ω in a first incumbent.
+        let warm = SharedBest::with_floor(0);
+        warm.reserve(adj.len());
+        run(&warm, &mut scratch);
+        let omega = warm.size();
+        assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
+
+        // Steady state 1: a fresh shared incumbent (pre-reserved) makes the
+        // worker re-find and re-publish every improvement — still zero allocs.
+        let shared = SharedBest::with_floor(0);
+        shared.reserve(adj.len());
+        let before = thread_allocs();
+        run(&shared, &mut scratch);
+        let allocs = thread_allocs() - before;
+        assert_eq!(shared.size(), omega);
+        assert!(
+            shared.broadcasts() > 0,
+            "improvements must have been published"
+        );
+        assert_eq!(
+            allocs, 0,
+            "parallel MC worker allocated {allocs} times after warm-up"
+        );
+
+        // Steady state 2: a saturated incumbent (everything prunes) — the
+        // prune-heavy regime a worker spends most of its life in.
+        let before = thread_allocs();
+        run(&shared, &mut scratch);
+        let allocs = thread_allocs() - before;
+        assert_eq!(
+            allocs, 0,
+            "pruned MC worker allocated {allocs} times after warm-up"
+        );
     }
 
     #[test]

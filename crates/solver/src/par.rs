@@ -1,5 +1,6 @@
-//! Intra-solve work-splitting substrate: the shared incumbent and the
-//! cooperative abort flag the parallel subgraph drivers coordinate on.
+//! Intra-solve work-splitting substrate: the per-call [`Run`] context of
+//! the engine entries, and the shared incumbent and cooperative abort
+//! flag their split solves coordinate on.
 //!
 //! The paper's work-avoidance thesis extends across threads: a bound that
 //! is published the instant any worker improves it prunes *every* worker's
@@ -16,12 +17,13 @@
 //!   triggers the flag and every other worker's subtree terminates at its
 //!   next node.
 //!
-//! Both are deliberately tiny: the split drivers in `mc`/`vc` keep their
+//! Both are deliberately tiny: the split solves in `mc`/`vc` keep their
 //! tasks in a pooled arena whose slots are claimed as units of one
 //! `lazymc_sched` scope, and the sequential kernels stay byte-identical
-//! via zero-sized link types that monomorphize the sharing away
-//! (`threads = 1` *is* the sequential code).
+//! via zero-sized link types that monomorphize the sharing away.
 
+use crate::live::LiveNodes;
+use lazymc_sched::{SchedHandle, TaskMeta};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -30,6 +32,48 @@ use std::sync::Mutex;
 /// trip or cancellation). Kept as a plain closure so the solver never
 /// learns the driver's deadline type.
 pub type StopFn<'a> = &'a (dyn Fn() -> bool + Sync);
+
+/// Below this many vertices a solve is not worth splitting: the subtree
+/// tasks would cost more to generate and claim than to run.
+pub(crate) const SPLIT_MIN_VERTICES: usize = 32;
+
+/// A scheduler binding for one engine call: the pool, the metadata every
+/// subtree task of the job carries (so stolen subtrees keep the job's
+/// deadline and priority wherever they run), and the nominal width — the
+/// helper count one scope may recruit, plus the caller.
+#[derive(Clone, Copy)]
+pub struct Split<'a> {
+    pub sched: &'a SchedHandle,
+    pub meta: TaskMeta,
+    pub width: usize,
+}
+
+/// What an engine call runs with besides its input. The default is the
+/// sequential kernel with no observer.
+///
+/// An entry runs the sequential kernel — deterministic node counts, no
+/// pool touched, `stop` never polled — when `split` is `None`, its width
+/// is at most 1, or the input has fewer than 32 vertices. Otherwise it
+/// splits its top branch levels into subtree tasks on `split.sched`.
+#[derive(Clone, Copy, Default)]
+pub struct Run<'a> {
+    /// Receives the node count every few thousand expansions.
+    pub live: LiveNodes<'a>,
+    /// Polled once per claimed subtree task of a split solve; `true`
+    /// halts every task of the solve (deadline trip or cancellation).
+    pub stop: Option<StopFn<'a>>,
+    /// Where the solve may split.
+    pub split: Option<Split<'a>>,
+}
+
+impl<'a> Run<'a> {
+    /// The binding an input of `n` vertices splits on, or `None` when the
+    /// sequential kernel runs.
+    pub(crate) fn split_for(&self, n: usize) -> Option<Split<'a>> {
+        self.split
+            .filter(|s| s.width > 1 && n >= SPLIT_MIN_VERTICES)
+    }
+}
 
 /// The shared incumbent of one parallel MC solve: best size (atomic, read
 /// per node by every worker) plus the witness clique (mutex, written only

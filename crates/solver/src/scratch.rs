@@ -1,12 +1,14 @@
 //! A tiny lock-based object pool for search scratch arenas.
 //!
 //! The systematic sweep solves thousands of small neighbourhood subgraphs
-//! from short-lived parallel tasks; a worker checks an arena out of the
-//! pool, runs one solve, and returns it. Because arenas grow monotonically
-//! and are reshaped (not reallocated) between solves, the whole sweep
-//! reaches a steady state where no solve allocates at all — the buffers
-//! warmed by early neighbourhoods are reused by every later one, across
-//! worker threads and parallel phases.
+//! from short-lived parallel tasks. Every arena the engines use — the MC
+//! and k-VC search arenas, the clique-via-VC pipeline's complement matrix
+//! and bound buffers, the split solves' task arenas — lives in a static
+//! pool of its module: a call checks one out, runs, and returns it.
+//! Because arenas grow monotonically and are reshaped (not reallocated)
+//! between solves, the whole sweep reaches a steady state where no solve
+//! allocates at all — the buffers warmed by early neighbourhoods are
+//! reused by every later one, across worker threads and parallel phases.
 //!
 //! The pool is a mutex around a stack of boxes. One lock round-trip per
 //! neighbourhood solve is noise next to the solve itself, and a stack (as
@@ -19,6 +21,11 @@ use std::sync::Mutex;
 /// Most idle objects a pool retains; beyond that, returned objects are
 /// dropped. Bounds memory at (number of workers that ever ran) arenas.
 const POOL_CAP: usize = 64;
+
+/// Arenas grown past this many heap bytes by an outlier instance are
+/// dropped on return instead of pinned in the engines' static pools for
+/// the process lifetime.
+pub(crate) const MAX_RETAINED_BYTES: usize = 8 << 20;
 
 /// A pool of reusable `T`s. `T::default()` is the cold-start object.
 pub struct Pool<T> {
@@ -80,25 +87,6 @@ impl<T: Default> Pool<T> {
 impl<T: Default> Default for Pool<T> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Everything one worker needs to run both subgraph engines: the MC arena
-/// and the full clique-via-VC pipeline scratch.
-#[derive(Default)]
-pub struct SolverScratch {
-    /// Dense MC search arena.
-    pub mc: crate::mc::McScratch,
-    /// Clique-via-k-VC pipeline scratch (complement matrix included).
-    pub vc: crate::vc::VcSolveScratch,
-    /// Witness buffer shared by both engines.
-    pub clique: Vec<u32>,
-}
-
-impl SolverScratch {
-    /// Heap bytes retained across both engines (pool retention bound).
-    pub fn heap_bytes(&self) -> usize {
-        self.mc.heap_bytes() + self.vc.heap_bytes() + self.clique.capacity() * 4
     }
 }
 

@@ -13,17 +13,23 @@
 //! * a polynomial path/cycle solver once the maximum degree drops to 2;
 //! * branching on a highest-degree vertex otherwise.
 //!
-//! Like the MC engine, the search keeps all per-depth state (the alive set
-//! of every branch level, the row/seen scratch of the kernelization and
-//! path/cycle solvers) in a reusable [`VcScratch`] arena, and the whole
-//! clique-via-VC pipeline (complement matrix included) in a
-//! [`VcSolveScratch`] — zero steady-state heap allocation per node.
+//! Two entries: [`vertex_cover_decision`] answers one k-VC decision, and
+//! [`max_clique_via_vc`] runs the clique-via-VC pipeline over it. Like the
+//! MC engine, a decision runs the sequential kernel unless its [`Run`]
+//! splits, and then its top branch levels become subtree tasks on the
+//! scheduler pool under one abort flag ([`SearchAbort`]).
+//!
+//! The search keeps all per-depth state (the alive set of every branch
+//! level, the row/seen scratch of the kernelization and path/cycle
+//! solvers) in pooled arenas, and the pipeline keeps its complement
+//! matrix and bound buffers in a pool of its own — zero steady-state heap
+//! allocation per node.
 
 use crate::bitset::{BitMatrix, Bitset};
 use crate::live::LiveNodes;
-use crate::par::{SearchAbort, StopFn};
-use crate::scratch::Pool;
-use lazymc_sched::{SchedHandle, Scope, TaskMeta};
+use crate::par::{Run, SearchAbort, SPLIT_MIN_VERTICES};
+use crate::scratch::{Pool, MAX_RETAINED_BYTES};
+use lazymc_sched::Scope;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -67,10 +73,10 @@ struct VcDepth {
     alive: Bitset,
 }
 
-/// Reusable arena for the k-VC decision search. Hold one per worker; after
-/// warm-up no node expansion allocates.
+/// Reusable arena for the k-VC decision search; once it is warm no node
+/// expansion allocates.
 #[derive(Default)]
-pub struct VcScratch {
+struct VcScratch {
     depths: Vec<VcDepth>,
     row: Bitset,
     seen: Bitset,
@@ -78,13 +84,8 @@ pub struct VcScratch {
 }
 
 impl VcScratch {
-    /// An empty arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Heap bytes retained by the arena (pool retention bound).
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         self.row.heap_bytes()
             + self.seen.heap_bytes()
             + self.cycle.capacity() * 4
@@ -96,12 +97,12 @@ impl VcScratch {
     }
 }
 
-/// Reusable buffers for the full clique-via-VC pipeline: the complement
-/// matrix, the decision search arena, and the binary-search bookkeeping.
+/// Reusable buffers of the clique-via-VC pipeline: the complement
+/// matrix, the cover of the latest decision and the best one, and the
+/// matching bound's scratch. The decisions bring their own arenas.
 #[derive(Default)]
-pub struct VcSolveScratch {
+struct VcPipeline {
     comp: BitMatrix,
-    search: VcScratch,
     cover: Vec<u32>,
     best_cover: Vec<u32>,
     full: Bitset,
@@ -110,16 +111,9 @@ pub struct VcSolveScratch {
     in_cover: Vec<bool>,
 }
 
-impl VcSolveScratch {
-    /// An empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Heap bytes retained by the whole pipeline scratch.
-    pub fn heap_bytes(&self) -> usize {
+impl VcPipeline {
+    fn heap_bytes(&self) -> usize {
         self.comp.heap_bytes()
-            + self.search.heap_bytes()
             + (self.cover.capacity() + self.best_cover.capacity()) * 4
             + self.full.heap_bytes()
             + self.avail.heap_bytes()
@@ -128,115 +122,7 @@ impl VcSolveScratch {
     }
 }
 
-/// Scratch-arena decision: cover of size ≤ `k` for `adj` restricted to
-/// `alive`. On success the cover is written to `out` (cleared either way)
-/// and `true` is returned. Node counts are sampled into `live` as in
-/// `max_clique_dense_scratch`; `LiveNodes::NONE` observes nothing.
-pub fn vertex_cover_decision_scratch(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if scratch.depths.is_empty() {
-        scratch.depths.push(VcDepth::default());
-    }
-    scratch.depths[0].alive.copy_from(alive);
-    let mut solver = VcSolver {
-        adj,
-        stats: VcStats::default(),
-        scratch,
-        abort: NoAbort,
-        live,
-    };
-    let ok = solver.solve(0, k as i64, out);
-    let local = solver.stats;
-    if let Some(s) = stats {
-        s.nodes += local.nodes;
-        s.sampled += local.sampled;
-        s.reductions += local.reductions;
-    }
-    if !ok {
-        out.clear();
-    }
-    ok
-}
-
-/// [`vertex_cover_decision_scratch`] with a cooperative abort flag — the
-/// body of a parallel decision worker. A `false` return obtained while
-/// `abort` is triggered is **not** authoritative: another worker already
-/// found a cover and this subtree was abandoned mid-search. With a warm
-/// `scratch` this performs no heap allocation (the per-worker steady
-/// state the zero-alloc tests pin down).
-#[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_abortable(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    abort: &SearchAbort,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if scratch.depths.is_empty() {
-        scratch.depths.push(VcDepth::default());
-    }
-    scratch.depths[0].alive.copy_from(alive);
-    let mut solver = VcSolver {
-        adj,
-        stats: VcStats::default(),
-        scratch,
-        abort: SharedAbort(abort),
-        live,
-    };
-    let ok = solver.solve(0, k as i64, out);
-    let local = solver.stats;
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    if !ok {
-        out.clear();
-    }
-    ok
-}
-
-/// Decides whether `adj` (restricted to `alive`) has a vertex cover of size
-/// at most `k`; on success returns the cover. One-shot convenience over
-/// [`vertex_cover_decision_scratch`].
-pub fn vertex_cover_decision_within(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    stats: Option<&mut VcStats>,
-) -> Option<Vec<u32>> {
-    let mut scratch = VcScratch::default();
-    let mut cover = Vec::new();
-    vertex_cover_decision_scratch(
-        adj,
-        alive,
-        k,
-        stats,
-        &mut scratch,
-        &mut cover,
-        LiveNodes::NONE,
-    )
-    .then_some(cover)
-}
-
-/// Decides whether the whole graph has a vertex cover of size ≤ `k`.
-pub fn vertex_cover_decision(
-    adj: &BitMatrix,
-    k: usize,
-    stats: Option<&mut VcStats>,
-) -> Option<Vec<u32>> {
-    vertex_cover_decision_within(adj, &Bitset::full(adj.len()), k, stats)
-}
+static VC_PIPELINE: Pool<VcPipeline> = Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_BYTES);
 
 /// Exact minimum vertex cover via binary search over the decision problem,
 /// bracketed by a maximal-matching lower bound and a greedy upper bound.
@@ -248,19 +134,11 @@ pub fn min_vertex_cover(adj: &BitMatrix, stats: Option<&mut VcStats>) -> Vec<u32
     let mut best = greedy.clone();
     let (mut lo, mut hi) = (lb, greedy.len());
     let mut local = VcStats::default();
-    let mut scratch = VcScratch::default();
     let mut cover = Vec::new();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if vertex_cover_decision_scratch(
-            adj,
-            &alive,
-            mid,
-            Some(&mut local),
-            &mut scratch,
-            &mut cover,
-            LiveNodes::NONE,
-        ) {
+        let run = Run::default();
+        if vertex_cover_decision(adj, &alive, mid, run, Some(&mut local), &mut cover).found {
             hi = cover.len().min(mid);
             std::mem::swap(&mut best, &mut cover);
         } else {
@@ -274,135 +152,86 @@ pub fn min_vertex_cover(adj: &BitMatrix, stats: Option<&mut VcStats>) -> Vec<u32
     best
 }
 
-/// Scratch-arena maximum clique of `adj` via minimum vertex cover of the
-/// complement. Writes the witness into `out` and returns whether a clique
-/// larger than `lb` exists. With a warm `scratch`, the entire pipeline —
-/// complement matrix included — performs no heap allocation. Node counts
-/// are sampled into `live` as in `max_clique_dense_scratch`.
-pub fn max_clique_via_vc_scratch(
+/// Maximum clique of `adj` via minimum vertex cover of the complement.
+///
+/// Writes the witness into `out` (cleared either way) and returns whether
+/// a clique larger than `lb` exists. This is the paper's
+/// per-neighbourhood algorithmic choice: the initial decision at
+/// `k0 = n - lb - 1` alone discharges most neighbourhoods; only when a
+/// better clique exists does a binary search refine to the exact
+/// optimum. Every decision goes through [`vertex_cover_decision`] with
+/// `run`, so each one splits or not by the same rule. A decision that
+/// reports `stopped` (deadline trip or cancellation) ends the refinement
+/// early; the witness is then the best one found so far, and the caller
+/// marks the solve truncated. With warm pools the whole pipeline —
+/// complement matrix included — performs no heap allocation.
+pub fn max_clique_via_vc(
     adj: &BitMatrix,
     lb: usize,
+    run: Run<'_>,
     stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
     out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    max_clique_via_vc_pipeline(
-        adj,
-        lb,
-        stats,
-        scratch,
-        out,
-        |comp, full, k, search, local, cover| VcSchedDecision {
-            found: vertex_cover_decision_scratch(comp, full, k, Some(local), search, cover, live),
-            stopped: false,
-        },
-    )
-}
-
-/// The one clique-via-VC pipeline behind every entry point: complement,
-/// initial decision at `k0 = n - lb - 1`, then a binary-search refinement
-/// to the true minimum. Only the *decision* call differs between drivers,
-/// so the caller passes it in as `decide(complement, alive, k, arena,
-/// stats, cover)`. A decision that reports `stopped` (deadline trip or
-/// cancellation) ends the refinement early; the witness is then the best
-/// one found so far, and the caller marks the solve truncated.
-fn max_clique_via_vc_pipeline(
-    adj: &BitMatrix,
-    lb: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    mut decide: impl FnMut(
-        &BitMatrix,
-        &Bitset,
-        usize,
-        &mut VcScratch,
-        &mut VcStats,
-        &mut Vec<u32>,
-    ) -> VcSchedDecision,
 ) -> bool {
     out.clear();
     let n = adj.len();
     if n == 0 || n <= lb {
         return false;
     }
-    adj.complement_into(&mut scratch.comp);
-    scratch.full.reset_full(n);
     let mut local = VcStats::default();
-    let VcSolveScratch {
-        comp,
-        search,
-        cover,
-        best_cover,
-        full,
-        avail,
-        row,
-        in_cover,
-    } = scratch;
-    // ω > lb ⟺ minVC(complement) <= n - lb - 1.
-    let first = decide(comp, full, n - lb - 1, search, &mut local, cover);
-    if !first.found {
-        if let Some(s) = stats {
-            s.merge(&local);
+    let found = VC_PIPELINE.with(|p| {
+        adj.complement_into(&mut p.comp);
+        p.full.reset_full(n);
+        let VcPipeline {
+            comp,
+            cover,
+            best_cover,
+            full,
+            avail,
+            row,
+            in_cover,
+        } = p;
+        let mut decide = |k: usize, cover: &mut Vec<u32>| {
+            vertex_cover_decision(comp, full, k, run, Some(&mut local), cover)
+        };
+        // ω > lb ⟺ minVC(complement) <= n - lb - 1.
+        let first = decide(n - lb - 1, cover);
+        if !first.found {
+            return false;
         }
-        return false;
-    }
-    let mut halted = first.stopped;
-    std::mem::swap(best_cover, cover);
-    // Refine: binary search down to the true minimum to maximize the clique.
-    let mut lo = matching_lower_bound_scratch(comp, full, avail, row);
-    let mut hi = best_cover.len();
-    while lo < hi && !halted {
-        let mid = lo + (hi - lo) / 2;
-        let d = decide(comp, full, mid, search, &mut local, cover);
-        halted = d.stopped;
-        if d.found {
-            hi = cover.len().min(mid);
-            std::mem::swap(best_cover, cover);
-        } else {
-            lo = mid + 1;
+        let mut halted = first.stopped;
+        std::mem::swap(best_cover, cover);
+        // Refine: binary search down to the true minimum to maximize the clique.
+        let mut lo = matching_lower_bound_scratch(comp, full, avail, row);
+        let mut hi = best_cover.len();
+        while lo < hi && !halted {
+            let mid = lo + (hi - lo) / 2;
+            let d = decide(mid, cover);
+            halted = d.stopped;
+            if d.found {
+                hi = cover.len().min(mid);
+                std::mem::swap(best_cover, cover);
+            } else {
+                lo = mid + 1;
+            }
         }
-    }
+        in_cover.clear();
+        in_cover.resize(n, false);
+        for &v in best_cover.iter() {
+            in_cover[v as usize] = true;
+        }
+        out.extend((0..n as u32).filter(|&v| !in_cover[v as usize]));
+        debug_assert!(adj.is_clique(out));
+        true
+    });
     if let Some(s) = stats {
         s.merge(&local);
     }
-    in_cover.clear();
-    in_cover.resize(n, false);
-    for &v in best_cover.iter() {
-        in_cover[v as usize] = true;
-    }
-    out.extend((0..n as u32).filter(|&v| !in_cover[v as usize]));
-    debug_assert!(adj.is_clique(out));
-    true
-}
-
-/// Maximum clique of `adj` via minimum vertex cover of the complement.
-///
-/// Returns `Some(clique)` with `clique.len() = ω > lb`, or `None` when
-/// `ω <= lb`. This is the paper's per-neighbourhood algorithmic choice: the
-/// initial decision call alone discharges most neighbourhoods; only when a
-/// better clique exists does the binary search refine to the exact optimum.
-/// One-shot convenience over [`max_clique_via_vc_scratch`].
-pub fn max_clique_via_vc(
-    adj: &BitMatrix,
-    lb: usize,
-    stats: Option<&mut VcStats>,
-) -> Option<Vec<u32>> {
-    let mut scratch = VcSolveScratch::default();
-    let mut out = Vec::new();
-    max_clique_via_vc_scratch(adj, lb, stats, &mut scratch, &mut out, LiveNodes::NONE)
-        .then_some(out)
+    found
 }
 
 // ---------------------------------------------------------------------------
 // Work-splitting driver on the machine-wide scheduler
 // ---------------------------------------------------------------------------
-
-/// Below this many alive vertices a parallel decision is not worth
-/// splitting: the subtree tasks would cost more to generate and claim
-/// than to run.
-const VC_SPLIT_MIN_VERTICES: usize = 32;
 
 /// How many branch levels task generation descends before parking the
 /// residual subproblem as a task ("split the top one/two levels").
@@ -455,14 +284,10 @@ impl VcWorkerScratch {
     }
 }
 
-/// Arenas grown past this bound by an outlier instance are dropped on
-/// return instead of pinned in the static pools for the process lifetime.
-const MAX_RETAINED_PAR_BYTES: usize = 8 << 20;
-
+/// Search arenas of the sequential kernel and of every subtree worker.
 static VC_WORKER: Pool<VcWorkerScratch> =
-    Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_PAR_BYTES);
-static VC_SPLIT: Pool<VcSplitScratch> =
-    Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_PAR_BYTES);
+    Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_BYTES);
+static VC_SPLIT: Pool<VcSplitScratch> = Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_BYTES);
 
 /// Task sink of one generation pass.
 struct VcGen<'a> {
@@ -573,51 +398,52 @@ struct VcArena {
 /// re-split cascades.
 const VC_SCHED_MAX_TASKS: usize = 4096;
 
-/// Outcome of one decision of the clique-via-VC pipeline. `found = false`
-/// with `stopped = true` is *not* authoritative — the solve was halted by
-/// its deadline or cancellation mid-search. Scratch-kernel decisions never
-/// stop.
+/// Outcome of one k-VC decision. `found = false` with `stopped = true` is
+/// *not* authoritative — the solve was halted by its deadline or
+/// cancellation mid-search. The sequential kernel never stops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VcSchedDecision {
+pub struct Decision {
     pub found: bool,
     pub stopped: bool,
 }
 
-/// Decision (`cover of size ≤ k`?) on the machine-wide scheduler: the top
-/// [`VC_SPLIT_LEVELS`] branch levels become claimable scope units that
-/// any idle pool worker can execute under this job's [`SearchAbort`].
-/// Units re-split deeper when the pool reports idle capacity, and
-/// `should_stop` (deadline / cancellation) trips the abort so every
-/// stolen subtree terminates at its next node.
+/// Decides whether `adj` restricted to `alive` has a vertex cover of size
+/// at most `k`. On success the cover is written to `out` (cleared either
+/// way). `stats`, when given, accumulates the work done.
 ///
-/// `width <= 1` runs the bit-identical sequential kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_sched(
+/// Runs the sequential kernel unless `run` splits (see [`Run`]). A split
+/// decision turns its top two branch levels into claimable scope units
+/// that any idle pool worker executes under this decision's
+/// [`SearchAbort`]: the first cover found wins and every other subtree
+/// terminates at its next node. Units re-split deeper when the pool
+/// reports idle capacity, and `run.stop` trips the abort, so a deadline
+/// or cancellation ends the decision with `stopped` set.
+pub fn vertex_cover_decision(
     adj: &BitMatrix,
     alive: &Bitset,
     k: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
+    run: Run<'_>,
     stats: Option<&mut VcStats>,
     out: &mut Vec<u32>,
-    sink: LiveNodes<'_>,
-) -> VcSchedDecision {
+) -> Decision {
     out.clear();
-    if width <= 1 || alive.len() < VC_SPLIT_MIN_VERTICES {
-        let found = VC_WORKER.with(|w| {
-            vertex_cover_decision_scratch(adj, alive, k, stats, &mut w.search, out, sink)
+    let Some(split) = run.split_for(alive.len()) else {
+        let (found, local) = VC_WORKER.with(|w| {
+            let mut solver = VcSolver::new(adj, &mut w.search, NoAbort, run.live);
+            (solver.decide(alive, k, out), solver.stats)
         });
-        return VcSchedDecision {
+        if let Some(s) = stats {
+            s.merge(&local);
+        }
+        return Decision {
             found,
             stopped: false,
         };
-    }
+    };
     let mut local = VcStats::default();
-    let mut split = VC_SPLIT.take();
-    while split.levels.len() < VC_SPLIT_LEVELS + 1 {
-        split.levels.push(Bitset::default());
+    let mut scr = VC_SPLIT.take();
+    while scr.levels.len() < VC_SPLIT_LEVELS + 1 {
+        scr.levels.push(Bitset::default());
     }
     let (solved, live) = {
         let VcSplitScratch {
@@ -625,16 +451,10 @@ pub fn vertex_cover_decision_sched(
             levels,
             picks,
             tasks,
-        } = &mut *split;
+        } = &mut *scr;
         picks.clear();
         levels[0].copy_from(alive);
-        let mut solver = VcSolver {
-            adj,
-            stats: VcStats::default(),
-            scratch: gen,
-            abort: NoAbort,
-            live: sink,
-        };
+        let mut solver = VcSolver::new(adj, gen, NoAbort, run.live);
         let mut tsink = VcGen {
             tasks,
             live: 0,
@@ -645,7 +465,7 @@ pub fn vertex_cover_decision_sched(
         local.split_tasks += tsink.live as u64;
         (solved, tsink.live)
     };
-    let mut decision = VcSchedDecision::default();
+    let mut decision = Decision::default();
     if solved {
         decision.found = true;
     } else if live > 0 {
@@ -653,26 +473,17 @@ pub fn vertex_cover_decision_sched(
         let stopped = AtomicBool::new(false);
         let winner: Mutex<Option<Vec<u32>>> = Mutex::new(None);
         let arena = Mutex::new(VcArena {
-            tasks: std::mem::take(&mut split.tasks),
+            tasks: std::mem::take(&mut scr.tasks),
             live,
         });
         let agg = Mutex::new(VcStats::default());
-        sched.scope(meta, width - 1, live, &|sc, i| {
-            vc_sched_unit(
-                adj,
-                &arena,
-                i,
-                &abort,
-                &stopped,
-                &winner,
-                should_stop,
-                &agg,
-                sc,
-                sink,
-            );
-        });
+        split
+            .sched
+            .scope(split.meta, split.width - 1, live, &|sc, i| {
+                vc_sched_unit(adj, &arena, i, &abort, &stopped, &winner, run, &agg, sc);
+            });
         local.merge(&agg.into_inner().unwrap());
-        split.tasks = arena.into_inner().unwrap().tasks;
+        scr.tasks = arena.into_inner().unwrap().tasks;
         decision.stopped = stopped.load(Ordering::Relaxed);
         if let Some(cover) = winner.into_inner().unwrap() {
             out.clear();
@@ -680,7 +491,7 @@ pub fn vertex_cover_decision_sched(
             decision.found = true;
         }
     }
-    VC_SPLIT.put(split);
+    VC_SPLIT.put(scr);
     if let Some(s) = stats {
         s.merge(&local);
     }
@@ -701,16 +512,15 @@ fn vc_sched_unit(
     abort: &SearchAbort,
     stopped: &AtomicBool,
     winner: &Mutex<Option<Vec<u32>>>,
-    should_stop: Option<StopFn<'_>>,
+    run: Run<'_>,
     agg: &Mutex<VcStats>,
     sc: &Scope<'_>,
-    sink: LiveNodes<'_>,
 ) {
     let mut stats = VcStats::default();
     if sc.is_helper() {
         stats.steals += 1;
     }
-    if let Some(stop) = should_stop {
+    if let Some(stop) = run.stop {
         if !abort.triggered() && stop() {
             stopped.store(true, Ordering::Relaxed);
             abort.trigger();
@@ -722,22 +532,16 @@ fn vc_sched_unit(
             std::mem::take(&mut g.tasks[i])
         };
         let room = arena.lock().unwrap().live < VC_SCHED_MAX_TASKS;
-        if t.alive.len() >= VC_SPLIT_MIN_VERTICES && room && sc.idle_workers() > 0 {
-            resplit_vc_task(adj, arena, &t, abort, winner, sc, &mut stats, sink);
+        if t.alive.len() >= SPLIT_MIN_VERTICES && room && sc.idle_workers() > 0 {
+            resplit_vc_task(adj, arena, &t, abort, winner, sc, &mut stats, run.live);
         } else {
             let mut w = VC_WORKER.take();
-            let ok = vertex_cover_decision_abortable(
-                adj,
-                &t.alive,
-                t.k as usize,
-                abort,
-                Some(&mut stats),
-                &mut w.search,
-                &mut w.cover,
-                sink,
-            );
+            let VcWorkerScratch { search, cover } = &mut *w;
+            let mut solver = VcSolver::new(adj, search, SharedAbort(abort), run.live);
+            let ok = solver.decide(&t.alive, t.k as usize, cover);
+            stats.merge(&solver.stats);
             if ok {
-                publish_vc_winner(winner, &t.picks, &w.cover, abort, &mut stats);
+                publish_vc_winner(winner, &t.picks, cover, abort, &mut stats);
             }
             VC_WORKER.put(w);
         }
@@ -781,7 +585,7 @@ fn resplit_vc_task(
     winner: &Mutex<Option<Vec<u32>>>,
     sc: &Scope<'_>,
     stats: &mut VcStats,
-    sink: LiveNodes<'_>,
+    live: LiveNodes<'_>,
 ) {
     let mut split = VC_SPLIT.take();
     let mut w = VC_WORKER.take();
@@ -798,13 +602,7 @@ fn resplit_vc_task(
         picks.clear();
         picks.extend_from_slice(&t.picks);
         levels[0].copy_from(&t.alive);
-        let mut solver = VcSolver {
-            adj,
-            stats: VcStats::default(),
-            scratch: gen,
-            abort: NoAbort,
-            live: sink,
-        };
+        let mut solver = VcSolver::new(adj, gen, NoAbort, live);
         let mut g = arena.lock().unwrap();
         let a = &mut *g;
         let live0 = a.live;
@@ -828,48 +626,6 @@ fn resplit_vc_task(
     }
     VC_WORKER.put(w);
     VC_SPLIT.put(split);
-}
-
-/// Maximum clique via minimum vertex cover of the complement on the
-/// machine-wide scheduler: the pipeline of [`max_clique_via_vc_scratch`],
-/// with every decision fanned out as scope units by
-/// [`vertex_cover_decision_sched`]. A deadline/cancellation stop ends the
-/// refinement early — the result is then the best witness found so far
-/// (the caller marks the solve truncated).
-#[allow(clippy::too_many_arguments)]
-pub fn max_clique_via_vc_sched(
-    adj: &BitMatrix,
-    lb: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    max_clique_via_vc_pipeline(
-        adj,
-        lb,
-        stats,
-        scratch,
-        out,
-        |comp, full, k, _search, local, cover| {
-            vertex_cover_decision_sched(
-                comp,
-                full,
-                k,
-                sched,
-                meta,
-                width,
-                should_stop,
-                Some(local),
-                cover,
-                live,
-            )
-        },
-    )
 }
 
 /// Lower bound: size of a greedily-built maximal matching (every cover must
@@ -969,7 +725,36 @@ struct Kernelized {
     max_d: usize,
 }
 
-impl<A: AbortLink> VcSolver<'_, A> {
+impl<'a, A: AbortLink> VcSolver<'a, A> {
+    fn new(adj: &'a BitMatrix, scratch: &'a mut VcScratch, abort: A, live: LiveNodes<'a>) -> Self {
+        VcSolver {
+            adj,
+            stats: VcStats::default(),
+            scratch,
+            abort,
+            live,
+        }
+    }
+
+    /// One decision from the root: a cover of size ≤ `k` of `alive`,
+    /// written to `out` (cleared first, and left empty when there is
+    /// none). The sequential kernel with [`NoAbort`]; the body of a split
+    /// worker with [`SharedAbort`], whose `false` is not authoritative
+    /// once the flag is triggered — another worker already found a cover.
+    /// Allocation-free on a warm arena.
+    fn decide(&mut self, alive: &Bitset, k: usize, out: &mut Vec<u32>) -> bool {
+        out.clear();
+        if self.scratch.depths.is_empty() {
+            self.scratch.depths.push(VcDepth::default());
+        }
+        self.scratch.depths[0].alive.copy_from(alive);
+        let ok = self.solve(0, k as i64, out);
+        if !ok {
+            out.clear();
+        }
+        ok
+    }
+
     /// Decision: cover of size ≤ k for the alive set the caller placed in
     /// `scratch.depths[depth].alive`. On success the chosen vertices are
     /// appended to `cover`; on failure `cover` is restored to its length
@@ -1282,6 +1067,10 @@ pub fn is_vertex_cover(adj: &BitMatrix, alive: &Bitset, cover: &[u32]) -> bool {
 mod tests {
     use super::*;
 
+    use crate::test_util::{exact_clique, pseudo_graph, test_pool, thread_allocs};
+    use crate::Split;
+    use lazymc_sched::TaskMeta;
+
     fn from_edges(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
         let mut m = BitMatrix::new(n);
         for &(u, v) in edges {
@@ -1290,18 +1079,51 @@ mod tests {
         m
     }
 
+    /// The sequential decision on the whole matrix.
+    fn decide(m: &BitMatrix, k: usize, stats: Option<&mut VcStats>) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        vertex_cover_decision(
+            m,
+            &Bitset::full(m.len()),
+            k,
+            Run::default(),
+            stats,
+            &mut out,
+        )
+        .found
+        .then_some(out)
+    }
+
+    /// The sequential clique-via-VC pipeline.
+    fn via_vc(m: &BitMatrix, lb: usize) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        max_clique_via_vc(m, lb, Run::default(), None, &mut out).then_some(out)
+    }
+
+    /// A run split at `width` on the shared test pool.
+    fn split_run(pool: &lazymc_sched::SchedHandle, width: usize) -> Run<'_> {
+        Run {
+            split: Some(Split {
+                sched: pool,
+                meta: TaskMeta::adhoc(),
+                width,
+            }),
+            ..Run::default()
+        }
+    }
+
     #[test]
     fn single_edge_needs_one() {
         let m = from_edges(2, &[(0, 1)]);
-        assert!(vertex_cover_decision(&m, 1, None).is_some());
-        assert!(vertex_cover_decision(&m, 0, None).is_none());
+        assert!(decide(&m, 1, None).is_some());
+        assert!(decide(&m, 0, None).is_none());
     }
 
     #[test]
     fn triangle_needs_two() {
         let m = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert!(vertex_cover_decision(&m, 1, None).is_none());
-        let c = vertex_cover_decision(&m, 2, None).unwrap();
+        assert!(decide(&m, 1, None).is_none());
+        let c = decide(&m, 2, None).unwrap();
         assert!(is_vertex_cover(&m, &Bitset::full(3), &c));
         assert!(c.len() <= 2);
     }
@@ -1309,7 +1131,7 @@ mod tests {
     #[test]
     fn star_needs_one() {
         let m = from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
-        let c = vertex_cover_decision(&m, 1, None).unwrap();
+        let c = decide(&m, 1, None).unwrap();
         assert_eq!(c, vec![0]);
     }
 
@@ -1356,12 +1178,11 @@ mod tests {
     fn empty_graph_cover_is_empty() {
         let m = BitMatrix::new(5);
         assert!(min_vertex_cover(&m, None).is_empty());
-        assert!(vertex_cover_decision(&m, 0, None).is_some());
+        assert!(decide(&m, 0, None).is_some());
     }
 
     #[test]
     fn clique_via_vc_matches_direct() {
-        use crate::mc::max_clique_exact;
         // assorted small graphs
         let graphs = vec![
             from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]),
@@ -1369,8 +1190,8 @@ mod tests {
             from_edges(4, &[]),
         ];
         for m in graphs {
-            let direct = max_clique_exact(&m);
-            let via = max_clique_via_vc(&m, 0, None).unwrap_or_default();
+            let direct = exact_clique(&m);
+            let via = via_vc(&m, 0).unwrap_or_default();
             // edgeless graphs: ω = 1 > lb = 0, both should find a vertex
             assert_eq!(direct.len(), via.len().max(direct.len().min(via.len())));
             assert_eq!(direct.len(), via.len());
@@ -1381,8 +1202,8 @@ mod tests {
     #[test]
     fn clique_via_vc_respects_lower_bound() {
         let m = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert!(max_clique_via_vc(&m, 3, None).is_none());
-        assert_eq!(max_clique_via_vc(&m, 2, None).unwrap().len(), 3);
+        assert!(via_vc(&m, 3).is_none());
+        assert_eq!(via_vc(&m, 2).unwrap().len(), 3);
     }
 
     #[test]
@@ -1407,12 +1228,10 @@ mod tests {
         // A star kernelizes entirely (degree-1 rule): reductions > 0.
         let m = from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
         let mut st = VcStats::default();
-        let c = vertex_cover_decision(&m, 1, Some(&mut st)).unwrap();
+        let c = decide(&m, 1, Some(&mut st)).unwrap();
         assert_eq!(c, vec![0]);
         assert!(st.reductions > 0);
     }
-
-    use crate::test_util::{pseudo_graph, test_pool};
 
     #[test]
     fn parallel_decision_matches_sequential() {
@@ -1423,18 +1242,7 @@ mod tests {
             let mvc = min_vertex_cover(&m, None).len();
             let decide =
                 |k: usize, threads: usize, st: Option<&mut VcStats>, out: &mut Vec<u32>| {
-                    vertex_cover_decision_sched(
-                        &m,
-                        &alive,
-                        k,
-                        &pool,
-                        TaskMeta::adhoc(),
-                        threads,
-                        None,
-                        st,
-                        out,
-                        LiveNodes::NONE,
-                    )
+                    vertex_cover_decision(&m, &alive, k, split_run(&pool, threads), st, out)
                 };
             for threads in [2, 4, 8] {
                 let mut out = Vec::new();
@@ -1458,34 +1266,19 @@ mod tests {
 
     #[test]
     fn parallel_clique_via_vc_matches_sequential() {
-        use crate::mc::max_clique_exact;
         let pool = test_pool();
         for (n, p, seed) in [(48, 780, 5), (64, 850, 23)] {
             let m = pseudo_graph(n, p, seed);
-            let omega = max_clique_exact(&m).len();
+            let omega = exact_clique(&m).len();
             for threads in [2, 4] {
-                let mut scratch = VcSolveScratch::new();
+                let run = split_run(&pool, threads);
                 let mut out = Vec::new();
                 let mut st = VcStats::default();
-                let mut solve = |lb: usize, st: Option<&mut VcStats>, out: &mut Vec<u32>| {
-                    max_clique_via_vc_sched(
-                        &m,
-                        lb,
-                        &pool,
-                        TaskMeta::adhoc(),
-                        threads,
-                        None,
-                        st,
-                        &mut scratch,
-                        out,
-                        LiveNodes::NONE,
-                    )
-                };
-                assert!(solve(0, Some(&mut st), &mut out));
+                assert!(max_clique_via_vc(&m, 0, run, Some(&mut st), &mut out));
                 assert_eq!(out.len(), omega, "n={n} threads={threads}");
                 assert!(m.is_clique(&out));
                 // lb suppression must agree too.
-                assert!(!solve(omega, None, &mut out));
+                assert!(!max_clique_via_vc(&m, omega, run, None, &mut out));
             }
         }
     }
@@ -1496,31 +1289,48 @@ mod tests {
         let alive = Bitset::full(60);
         let abort = SearchAbort::new();
         abort.trigger();
-        let mut scratch = VcScratch::new();
+        let mut scratch = VcScratch::default();
         let mut out = Vec::new();
-        let mut st = VcStats::default();
         // Pre-triggered: the search unwinds immediately (nodes == 0) and
         // its `false` is non-authoritative by contract.
-        let ok = vertex_cover_decision_abortable(
-            &m,
-            &alive,
-            60,
-            &abort,
-            Some(&mut st),
-            &mut scratch,
-            &mut out,
-            LiveNodes::NONE,
+        let mut solver = VcSolver::new(&m, &mut scratch, SharedAbort(&abort), LiveNodes::NONE);
+        assert!(!solver.decide(&alive, 60, &mut out));
+        assert_eq!(solver.stats.nodes, 0);
+    }
+
+    #[test]
+    fn parallel_vc_worker_is_allocation_free_after_warmup() {
+        // The body of a split decision worker: with a warm arena, polling
+        // the abort flag and the full kernelize/branch/path-cycle
+        // machinery must not allocate.
+        let adj = pseudo_graph(90, 250, 17);
+        let alive = Bitset::full(adj.len());
+        let mvc = min_vertex_cover(&adj, None).len();
+        let abort = SearchAbort::new();
+        let mut scratch = VcScratch::default();
+        let mut cover = Vec::new();
+        let mut both = || {
+            let mut solver =
+                VcSolver::new(&adj, &mut scratch, SharedAbort(&abort), LiveNodes::NONE);
+            // At the optimum (success path) and one below (failure path).
+            assert!(solver.decide(&alive, mvc, &mut cover));
+            assert!(!solver.decide(&alive, mvc - 1, &mut cover));
+        };
+
+        both();
+        let before = thread_allocs();
+        both();
+        let allocs = thread_allocs() - before;
+        assert_eq!(
+            allocs, 0,
+            "parallel k-VC worker allocated {allocs} times after warm-up"
         );
-        assert!(!ok);
-        assert_eq!(st.nodes, 0);
     }
 
     #[test]
     fn scratch_reuse_across_solves_and_sizes() {
-        // One scratch through subgraphs of different sizes must match the
-        // fresh-scratch answers exactly.
-        let mut scratch = VcSolveScratch::new();
-        let mut out = Vec::new();
+        // The pooled pipeline through subgraphs of different sizes must
+        // match the direct engine exactly.
         let graphs = vec![
             from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]),
             from_edges(70, &[(0, 69), (69, 35), (35, 0), (1, 2)]),
@@ -1528,26 +1338,18 @@ mod tests {
             from_edges(4, &[]),
         ];
         for m in &graphs {
-            let expect = max_clique_via_vc(m, 0, None).unwrap();
-            assert!(max_clique_via_vc_scratch(
-                m,
-                0,
-                None,
-                &mut scratch,
-                &mut out,
-                LiveNodes::NONE,
-            ));
-            assert_eq!(out.len(), expect.len(), "graph {m:?}");
+            let out = via_vc(m, 0).expect("omega >= 1");
+            assert_eq!(out.len(), exact_clique(m).len(), "graph {m:?}");
             assert!(m.is_clique(&out));
         }
         // lb suppression
-        assert!(!max_clique_via_vc_scratch(
+        let mut out = vec![7];
+        assert!(!max_clique_via_vc(
             &graphs[2],
             3,
+            Run::default(),
             None,
-            &mut scratch,
-            &mut out,
-            LiveNodes::NONE,
+            &mut out
         ));
         assert!(out.is_empty());
     }

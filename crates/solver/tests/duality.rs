@@ -9,14 +9,44 @@
 use lazymc_graph::gen;
 use lazymc_solver::bitset::{BitMatrix, Bitset};
 use lazymc_solver::{
-    greedy_color_count, max_clique_dense_scratch, max_clique_exact, max_clique_via_vc,
-    max_clique_via_vc_scratch, min_vertex_cover, vc::is_vertex_cover, vertex_cover_decision,
-    LiveNodes, McScratch, VcSolveScratch,
+    greedy_color_count, max_clique_dense, max_clique_via_vc, min_vertex_cover, vc::is_vertex_cover,
+    vertex_cover_decision, Run,
 };
 use proptest::prelude::*;
 
-/// The kernels' live-progress sink, unobserved here.
-const NONE: LiveNodes<'static> = LiveNodes::NONE;
+/// The sequential MC engine on the whole matrix above `lb`.
+fn direct_mc(m: &BitMatrix, lb: usize) -> Option<Vec<u32>> {
+    let mut out = Vec::new();
+    max_clique_dense(
+        m,
+        &Bitset::full(m.len()),
+        lb,
+        Run::default(),
+        None,
+        &mut out,
+    )
+    .then_some(out)
+}
+
+/// The sequential clique-via-VC engine above `lb`.
+fn via_vc(m: &BitMatrix, lb: usize) -> Option<Vec<u32>> {
+    let mut out = Vec::new();
+    max_clique_via_vc(m, lb, Run::default(), None, &mut out).then_some(out)
+}
+
+/// A maximum clique by the direct engine (empty for an empty matrix).
+fn exact_clique(m: &BitMatrix) -> Vec<u32> {
+    direct_mc(m, 0).unwrap_or_default()
+}
+
+/// The sequential decision on the whole matrix.
+fn decide(m: &BitMatrix, k: usize) -> Option<Vec<u32>> {
+    let mut out = Vec::new();
+    let alive = Bitset::full(m.len());
+    vertex_cover_decision(m, &alive, k, Run::default(), None, &mut out)
+        .found
+        .then_some(out)
+}
 
 fn arb_matrix() -> impl Strategy<Value = BitMatrix> {
     (2usize..28, 0.0f64..0.8, 0u64..10_000).prop_map(|(n, p, seed)| {
@@ -30,7 +60,7 @@ proptest! {
 
     #[test]
     fn clique_cover_duality(m in arb_matrix()) {
-        let omega = max_clique_exact(&m).len();
+        let omega = exact_clique(&m).len();
         let comp = m.complement();
         let mvc = min_vertex_cover(&comp, None);
         prop_assert!(is_vertex_cover(&comp, &Bitset::full(m.len()), &mvc));
@@ -39,36 +69,30 @@ proptest! {
 
     #[test]
     fn vc_engine_agrees_with_direct_mc(m in arb_matrix()) {
-        let direct = max_clique_exact(&m);
-        let via = max_clique_via_vc(&m, 0, None).expect("omega >= 1 > 0");
+        let direct = exact_clique(&m);
+        let via = via_vc(&m, 0).expect("omega >= 1 > 0");
         prop_assert_eq!(direct.len(), via.len());
         prop_assert!(m.is_clique(&via));
         prop_assert!(m.is_clique(&direct));
         // and with a lower bound exactly at / above omega
-        prop_assert!(max_clique_via_vc(&m, direct.len(), None).is_none());
+        prop_assert!(via_vc(&m, direct.len()).is_none());
         if direct.len() > 1 {
-            let again = max_clique_via_vc(&m, direct.len() - 1, None).unwrap();
+            let again = via_vc(&m, direct.len() - 1).unwrap();
             prop_assert_eq!(again.len(), direct.len());
         }
     }
 
     #[test]
-    fn scratch_paths_agree_with_one_shot_engines(m in arb_matrix()) {
-        // The PR-3 refactor guard: the one-shot engines and the reused
-        // scratch-arena paths must report the same omega on random G(n,p)
-        // across densities — including when the *same* arena is fed a
-        // second, different-size problem right after (stale-state check).
-        let omega = max_clique_exact(&m).len();
-        let within = Bitset::full(m.len());
-        let mut mc_scratch = McScratch::new();
-        let mut vc_scratch = VcSolveScratch::new();
-        let mut out = Vec::new();
-
-        prop_assert!(max_clique_dense_scratch(&m, &within, 0, None, &mut mc_scratch, &mut out, NONE));
+    fn warm_arenas_agree_across_sizes(m in arb_matrix()) {
+        // The engines keep their arenas in pools, so every call runs on
+        // buffers an earlier, differently sized problem warmed. Both must
+        // match the duality reference on this instance, on a shifted one
+        // right after, and stay silent at lb = omega (stale-state check).
+        let omega = m.len() - min_vertex_cover(&m.complement(), None).len();
+        let out = direct_mc(&m, 0).expect("omega >= 1");
         prop_assert_eq!(out.len(), omega);
         prop_assert!(m.is_clique(&out));
-
-        prop_assert!(max_clique_via_vc_scratch(&m, 0, None, &mut vc_scratch, &mut out, NONE));
+        let out = via_vc(&m, 0).expect("omega >= 1");
         prop_assert_eq!(out.len(), omega);
         prop_assert!(m.is_clique(&out));
 
@@ -77,21 +101,18 @@ proptest! {
             let g = gen::gnp(m.len() + 5, 0.4, 1234);
             BitMatrix::from_csr(&g)
         };
-        let omega2 = max_clique_exact(&m2).len();
-        let within2 = Bitset::full(m2.len());
-        prop_assert!(max_clique_dense_scratch(&m2, &within2, 0, None, &mut mc_scratch, &mut out, NONE));
-        prop_assert_eq!(out.len(), omega2);
-        prop_assert!(max_clique_via_vc_scratch(&m2, 0, None, &mut vc_scratch, &mut out, NONE));
-        prop_assert_eq!(out.len(), omega2);
+        let omega2 = m2.len() - min_vertex_cover(&m2.complement(), None).len();
+        prop_assert_eq!(direct_mc(&m2, 0).map(|c| c.len()), Some(omega2));
+        prop_assert_eq!(via_vc(&m2, 0).map(|c| c.len()), Some(omega2));
 
-        // lb handling: both scratch engines stay silent at lb = omega.
-        prop_assert!(!max_clique_dense_scratch(&m, &within, omega, None, &mut mc_scratch, &mut out, NONE));
-        prop_assert!(!max_clique_via_vc_scratch(&m, omega, None, &mut vc_scratch, &mut out, NONE));
+        // lb handling: both engines stay silent at lb = omega.
+        prop_assert!(direct_mc(&m, omega).is_none());
+        prop_assert!(via_vc(&m, omega).is_none());
     }
 
     #[test]
     fn coloring_upper_bounds_omega(m in arb_matrix()) {
-        let omega = max_clique_exact(&m).len();
+        let omega = exact_clique(&m).len();
         let colors = greedy_color_count(&m, &Bitset::full(m.len()));
         prop_assert!(colors >= omega, "colors {} < omega {}", colors, omega);
     }
@@ -101,9 +122,9 @@ proptest! {
         let n = m.len();
         let mvc = min_vertex_cover(&m, None).len();
         for k in 0..=n {
-            let feasible = vertex_cover_decision(&m, k, None).is_some();
+            let feasible = decide(&m, k).is_some();
             prop_assert_eq!(feasible, k >= mvc, "k={} mvc={}", k, mvc);
-            if let Some(c) = vertex_cover_decision(&m, k, None) {
+            if let Some(c) = decide(&m, k) {
                 prop_assert!(c.len() <= k);
                 prop_assert!(is_vertex_cover(&m, &Bitset::full(n), &c));
             }
@@ -112,10 +133,9 @@ proptest! {
 
     #[test]
     fn mc_lower_bound_contract(m in arb_matrix()) {
-        use lazymc_solver::max_clique_dense;
-        let omega = max_clique_exact(&m).len();
+        let omega = exact_clique(&m).len();
         for lb in 0..omega + 2 {
-            match max_clique_dense(&m, lb, None) {
+            match direct_mc(&m, lb) {
                 Some(c) => {
                     prop_assert!(c.len() > lb);
                     prop_assert_eq!(c.len(), omega);

@@ -1,4 +1,4 @@
-//! The parallel drivers against the sequential kernels: MC, clique-via-VC
+//! Split engine calls against the sequential kernels: MC, clique-via-VC
 //! and k-VC decision solves whose subtree tasks run on the machine-wide
 //! work-stealing pool must agree with the sequential kernels on ω (and
 //! produce genuine witnesses) under random steal interleavings — the
@@ -12,9 +12,8 @@
 
 use lazymc_sched::{Pool, SchedHandle, TaskMeta};
 use lazymc_solver::{
-    max_clique_dense_sched, max_clique_dense_scratch, max_clique_exact, max_clique_via_vc_sched,
-    max_clique_via_vc_scratch, min_vertex_cover, vc::is_vertex_cover, vertex_cover_decision_sched,
-    Bitset, LiveNodes, McScratch, McStats, VcSolveScratch,
+    max_clique_dense, max_clique_via_vc, min_vertex_cover, vc::is_vertex_cover,
+    vertex_cover_decision, BitMatrix, Bitset, McStats, Run, Split, VcStats,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -40,6 +39,25 @@ fn test_widths() -> Vec<usize> {
     }
 }
 
+/// A run bound to `handle` at `width`.
+fn split(handle: &SchedHandle, width: usize) -> Run<'_> {
+    Run {
+        split: Some(Split {
+            sched: handle,
+            meta: TaskMeta::adhoc(),
+            width,
+        }),
+        ..Run::default()
+    }
+}
+
+/// ω by the sequential MC engine.
+fn omega_of(m: &BitMatrix) -> usize {
+    let mut out = Vec::new();
+    max_clique_dense(m, &Bitset::full(m.len()), 0, Run::default(), None, &mut out);
+    out.len()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -50,22 +68,18 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let m = pseudo_graph(n, p, seed);
-        let omega = max_clique_exact(&m).len();
+        let omega = omega_of(&m);
         let handle = sched();
+        let within = Bitset::full(n);
         for width in test_widths() {
+            let run = split(&handle, width);
             let mut out = Vec::new();
-            let found = max_clique_dense_sched(
-                &m, &Bitset::full(n), 0, &handle, TaskMeta::adhoc(), width, None, None, &mut out,
-                LiveNodes::NONE,
-            );
+            let found = max_clique_dense(&m, &within, 0, run, None, &mut out);
             prop_assert!(found, "n={n} p={p} width={width}");
             prop_assert_eq!(out.len(), omega, "n={} p={} seed={}", n, p, seed);
             prop_assert!(m.is_clique(&out), "witness must be a clique");
             // The lower bound suppresses exactly at ω.
-            prop_assert!(!max_clique_dense_sched(
-                &m, &Bitset::full(n), omega, &handle, TaskMeta::adhoc(), width, None, None,
-                &mut out, LiveNodes::NONE,
-            ));
+            prop_assert!(!max_clique_dense(&m, &within, omega, run, None, &mut out));
             prop_assert!(out.is_empty());
         }
     }
@@ -77,24 +91,18 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let m = pseudo_graph(n, p, seed);
-        let omega = max_clique_exact(&m).len();
+        let omega = omega_of(&m);
         let handle = sched();
         for width in test_widths() {
-            let mut scratch = VcSolveScratch::new();
+            let run = split(&handle, width);
             let mut out = Vec::new();
             prop_assert!(
-                max_clique_via_vc_sched(
-                    &m, 0, &handle, TaskMeta::adhoc(), width, None, None, &mut scratch,
-                    &mut out, LiveNodes::NONE,
-                ),
+                max_clique_via_vc(&m, 0, run, None, &mut out),
                 "n={n} p={p} width={width}"
             );
             prop_assert_eq!(out.len(), omega, "n={} p={} seed={}", n, p, seed);
             prop_assert!(m.is_clique(&out));
-            prop_assert!(!max_clique_via_vc_sched(
-                &m, omega, &handle, TaskMeta::adhoc(), width, None, None, &mut scratch,
-                &mut out, LiveNodes::NONE,
-            ));
+            prop_assert!(!max_clique_via_vc(&m, omega, run, None, &mut out));
         }
     }
 
@@ -109,22 +117,17 @@ proptest! {
         let mvc = min_vertex_cover(&m, None).len();
         let handle = sched();
         for width in test_widths() {
+            let run = split(&handle, width);
             let mut out = Vec::new();
             // At the optimum: success with a genuine cover.
-            let d = vertex_cover_decision_sched(
-                &m, &alive, mvc, &handle, TaskMeta::adhoc(), width, None, None, &mut out,
-                LiveNodes::NONE,
-            );
+            let d = vertex_cover_decision(&m, &alive, mvc, run, None, &mut out);
             prop_assert!(d.found, "n={n} p={p} width={width} k={mvc}");
             prop_assert!(!d.stopped);
             prop_assert!(out.len() <= mvc);
             prop_assert!(is_vertex_cover(&m, &alive, &out));
             // One below: a unanimous, authoritative no.
             if mvc > 0 {
-                let d = vertex_cover_decision_sched(
-                    &m, &alive, mvc - 1, &handle, TaskMeta::adhoc(), width, None, None, &mut out,
-                    LiveNodes::NONE,
-                );
+                let d = vertex_cover_decision(&m, &alive, mvc - 1, run, None, &mut out);
                 prop_assert!(!d.found && !d.stopped);
                 prop_assert!(out.is_empty());
             }
@@ -132,71 +135,92 @@ proptest! {
     }
 }
 
-/// Width 1 must never touch the scheduler: the driver falls through to
-/// the thread-local sequential kernel, bit-identical to a direct scratch
-/// call — same node count, same witness, zero split tasks.
+/// Width 1 must never touch the scheduler: each entry bound at width 1
+/// runs the same sequential kernel as an entry with no binding — same
+/// witness, same node count, zero split tasks — for all three engines.
 #[test]
 fn width_one_is_bit_identical_to_the_sequential_kernel() {
     let m = pseudo_graph(90, 550, 13);
     let within = Bitset::full(m.len());
     let handle = sched();
+    let one = split(&handle, 1);
 
     let mut seq_stats = McStats::default();
     let mut seq_out = Vec::new();
-    let mut scratch = McScratch::new();
-    assert!(max_clique_dense_scratch(
+    assert!(max_clique_dense(
         &m,
         &within,
         0,
+        Run::default(),
         Some(&mut seq_stats),
-        &mut scratch,
-        &mut seq_out,
-        LiveNodes::NONE,
+        &mut seq_out
     ));
-
     let mut one_stats = McStats::default();
     let mut one_out = Vec::new();
-    assert!(max_clique_dense_sched(
+    assert!(max_clique_dense(
         &m,
         &within,
         0,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
+        one,
         Some(&mut one_stats),
-        &mut one_out,
-        LiveNodes::NONE,
+        &mut one_out
     ));
     assert_eq!(one_out, seq_out, "width-1 witness must match exactly");
-    assert_eq!(one_stats.nodes, seq_stats.nodes, "node-for-node identical");
+    assert_eq!(one_stats, seq_stats, "node-for-node identical");
     assert_eq!(one_stats.split_tasks, 0);
     assert_eq!(one_stats.steals, 0);
 
-    // Same for the via-VC engine.
-    let mut vc_scratch = VcSolveScratch::new();
+    // The clique-via-VC pipeline on the same (dense) matrix.
+    let mut vc_seq_stats = VcStats::default();
     let mut vc_seq = Vec::new();
-    assert!(max_clique_via_vc_scratch(
+    assert!(max_clique_via_vc(
         &m,
         0,
-        None,
-        &mut vc_scratch,
-        &mut vc_seq,
-        LiveNodes::NONE,
+        Run::default(),
+        Some(&mut vc_seq_stats),
+        &mut vc_seq
     ));
+    let mut vc_one_stats = VcStats::default();
     let mut vc_one = Vec::new();
-    assert!(max_clique_via_vc_sched(
+    assert!(max_clique_via_vc(
         &m,
         0,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
-        &mut vc_scratch,
-        &mut vc_one,
-        LiveNodes::NONE,
+        one,
+        Some(&mut vc_one_stats),
+        &mut vc_one
     ));
-    assert_eq!(vc_one.len(), vc_seq.len());
-    assert!(m.is_clique(&vc_one));
+    assert_eq!(vc_one, vc_seq, "width-1 witness must match exactly");
+    assert_eq!(vc_one_stats, vc_seq_stats, "node-for-node identical");
+    assert!(vc_seq_stats.nodes > 0);
+    assert_eq!(vc_one_stats.split_tasks, 0);
+
+    // One k-VC decision at the optimum of a sparser matrix.
+    let sparse = pseudo_graph(60, 200, 3);
+    let alive = Bitset::full(sparse.len());
+    let mvc = min_vertex_cover(&sparse, None).len();
+    let mut d_seq_stats = VcStats::default();
+    let mut d_seq = Vec::new();
+    let d = vertex_cover_decision(
+        &sparse,
+        &alive,
+        mvc,
+        Run::default(),
+        Some(&mut d_seq_stats),
+        &mut d_seq,
+    );
+    assert!(d.found && !d.stopped);
+    let mut d_one_stats = VcStats::default();
+    let mut d_one = Vec::new();
+    let d = vertex_cover_decision(
+        &sparse,
+        &alive,
+        mvc,
+        one,
+        Some(&mut d_one_stats),
+        &mut d_one,
+    );
+    assert!(d.found && !d.stopped);
+    assert_eq!(d_one, d_seq, "width-1 cover must match exactly");
+    assert_eq!(d_one_stats, d_seq_stats, "node-for-node identical");
+    assert_eq!(d_one_stats.split_tasks, 0);
 }

@@ -1,21 +1,24 @@
 //! Proof that the solver hot paths are allocation-free after warm-up.
 //!
 //! A counting `GlobalAlloc` (installed only in this test binary) tallies
-//! allocations per thread; the tests warm a scratch arena on a fixed dense
-//! subgraph, then re-run the identical search and assert the steady-state
-//! run performed **zero** heap allocations — the contract the `McScratch` /
-//! `VcSolveScratch` arenas and the `ColorScratch` word loops exist to keep.
+//! allocations per thread; the tests warm the engines' pooled arenas on a
+//! fixed dense subgraph, then re-run the identical search and assert the
+//! steady-state run performed **zero** heap allocations — the contract
+//! the pooled arenas and the `ColorScratch` word loops exist to keep. The
+//! split workers' bodies are held to the same contract by the unit tests
+//! of `mc.rs` and `vc.rs`.
 //!
 //! Counters are thread-local so concurrently running tests cannot pollute
-//! each other's tallies.
+//! each other's tallies, and the tests that draw on the engines' pools
+//! hold [`POOLS`], so no test takes an arena another one warmed.
 
 use lazymc_solver::{
-    max_clique_dense_scratch, max_clique_dense_subtree, max_clique_via_vc_scratch,
-    min_vertex_cover, reduce_candidates, vertex_cover_decision_abortable, Bitset, ColorScratch,
-    LiveNodes, McScratch, SearchAbort, SharedBest, VcScratch, VcSolveScratch,
+    max_clique_dense, max_clique_via_vc, min_vertex_cover, reduce_candidates,
+    vertex_cover_decision, Bitset, ColorScratch, Run, Split,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
 mod common;
 use common::pseudo_graph as dense_graph;
@@ -49,29 +52,35 @@ unsafe impl GlobalAlloc for ThreadCountingAlloc {
 #[global_allocator]
 static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
 
-/// The kernels' live-progress sink, unobserved here.
-const NONE: LiveNodes<'static> = LiveNodes::NONE;
-
 fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
 }
 
+/// Held by every test that runs an engine entry: the entries share
+/// process-wide arena pools, and a concurrent test could otherwise check
+/// out the arena this one warmed.
+static POOLS: Mutex<()> = Mutex::new(());
+
+fn hold_pools() -> MutexGuard<'static, ()> {
+    POOLS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn dense_mc_search_is_allocation_free_after_warmup() {
+    let _pools = hold_pools();
     let adj = dense_graph(120, 550, 42);
     let within = Bitset::full(adj.len());
-    let mut scratch = McScratch::new();
     let mut out = Vec::new();
 
     // Warm-up: grows every per-depth buffer to this instance's size.
-    let found_warm = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out, NONE);
+    let found_warm = max_clique_dense(&adj, &within, 0, Run::default(), None, &mut out);
     assert!(found_warm);
     let omega = out.len();
     assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
 
     // Steady state: the identical search must not touch the heap.
     let before = thread_allocs();
-    let found = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out, NONE);
+    let found = max_clique_dense(&adj, &within, 0, Run::default(), None, &mut out);
     let allocs = thread_allocs() - before;
     assert!(found);
     assert_eq!(out.len(), omega);
@@ -106,29 +115,15 @@ fn clique_via_vc_pipeline_is_allocation_free_after_warmup() {
     // Dense enough that the complement (where the VC search runs) is
     // sparse — the pipeline the systematic search uses for dense
     // neighbourhoods, complement construction included.
+    let _pools = hold_pools();
     let adj = dense_graph(100, 820, 99);
-    let mut scratch = VcSolveScratch::new();
     let mut out = Vec::new();
 
-    assert!(max_clique_via_vc_scratch(
-        &adj,
-        0,
-        None,
-        &mut scratch,
-        &mut out,
-        NONE
-    ));
+    assert!(max_clique_via_vc(&adj, 0, Run::default(), None, &mut out));
     let omega = out.len();
 
     let before = thread_allocs();
-    assert!(max_clique_via_vc_scratch(
-        &adj,
-        0,
-        None,
-        &mut scratch,
-        &mut out,
-        NONE
-    ));
+    assert!(max_clique_via_vc(&adj, 0, Run::default(), None, &mut out));
     let allocs = thread_allocs() - before;
     assert_eq!(out.len(), omega);
     assert_eq!(
@@ -138,204 +133,56 @@ fn clique_via_vc_pipeline_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn parallel_mc_worker_is_allocation_free_after_warmup() {
-    // The body of a parallel MC worker is `max_clique_dense_subtree`: a
-    // branch-prefix task run against a shared incumbent. After one warm-up
-    // run, a worker's steady state — node expansions, bound refreshes from
-    // the shared atomic, *and* incumbent publications (the witness buffer
-    // is pre-reserved, as the split driver does) — must not touch the
-    // heap.
-    let adj = dense_graph(120, 550, 42);
-    let cand = Bitset::full(adj.len());
-    let mut scratch = McScratch::new();
-
-    // Warm-up: grows the arena and establishes ω in a first incumbent.
-    let warm = SharedBest::with_floor(0);
-    warm.reserve(adj.len());
-    max_clique_dense_subtree(&adj, &cand, &[], &warm, None, &mut scratch, NONE);
-    let omega = warm.size();
-    assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
-
-    // Steady state 1: a fresh shared incumbent (pre-reserved) makes the
-    // worker re-find and re-publish every improvement — still zero allocs.
-    let shared = SharedBest::with_floor(0);
-    shared.reserve(adj.len());
-    let before = thread_allocs();
-    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch, NONE);
-    let allocs = thread_allocs() - before;
-    assert_eq!(shared.size(), omega);
-    assert!(
-        shared.broadcasts() > 0,
-        "improvements must have been published"
-    );
-    assert_eq!(
-        allocs, 0,
-        "parallel MC worker allocated {allocs} times after warm-up"
-    );
-
-    // Steady state 2: a saturated incumbent (everything prunes) — the
-    // prune-heavy regime a worker spends most of its life in.
-    let before = thread_allocs();
-    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch, NONE);
-    let allocs = thread_allocs() - before;
-    assert_eq!(
-        allocs, 0,
-        "pruned MC worker allocated {allocs} times after warm-up"
-    );
-}
-
-#[test]
-fn parallel_vc_worker_is_allocation_free_after_warmup() {
-    // The body of a parallel k-VC decision worker is
-    // `vertex_cover_decision_abortable`; with a warm arena, polling the
-    // abort flag and the full kernelize/branch/path-cycle machinery must
-    // not allocate.
-    let adj = dense_graph(90, 250, 17);
-    let alive = Bitset::full(adj.len());
-    let mvc = min_vertex_cover(&adj, None).len();
-    let abort = SearchAbort::new();
-    let mut scratch = VcScratch::new();
-    let mut cover = Vec::new();
-
-    // Warm-up at the optimum (success path) and one below (failure path).
-    assert!(vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover,
-        NONE
-    ));
-    assert!(!vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc - 1,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover,
-        NONE
-    ));
-
-    let before = thread_allocs();
-    assert!(vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover,
-        NONE
-    ));
-    assert!(!vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc - 1,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover,
-        NONE
-    ));
-    let allocs = thread_allocs() - before;
-    assert_eq!(
-        allocs, 0,
-        "parallel k-VC worker allocated {allocs} times after warm-up"
-    );
-}
-
-#[test]
-fn sched_task_body_is_allocation_free_after_warmup() {
-    // A scheduler unit body runs a subtree through the same thread-local
-    // worker arenas (`MC_WORKER` / `VC_WORKER`) that the width-1 driver
-    // path uses — so driving the sched entry points at width 1 on this
-    // thread exercises exactly the steady-state body: pooled task
-    // buffers, arena take/put-back, shared-incumbent reads. After one
-    // warm-up, none of it may touch the heap.
-    use lazymc_sched::TaskMeta;
-    use lazymc_solver::{max_clique_dense_sched, vertex_cover_decision_sched};
-
+fn width_one_binding_is_allocation_free_after_warmup() {
+    // An entry bound to a pool at width 1 runs the same pooled sequential
+    // kernel as an unbound one and never touches the scheduler: after one
+    // warm-up, neither the MC search nor a k-VC decision (success and
+    // failure path) may touch the heap.
+    let _pools = hold_pools();
     let pool = lazymc_sched::Pool::new(2);
     let handle = pool.handle();
+    let run = Run {
+        split: Some(Split {
+            sched: &handle,
+            meta: lazymc_sched::TaskMeta::adhoc(),
+            width: 1,
+        }),
+        ..Run::default()
+    };
     let adj = dense_graph(120, 550, 42);
     let within = Bitset::full(adj.len());
     let mut out = Vec::new();
 
-    // Warm-up grows the thread-local worker arena.
-    assert!(max_clique_dense_sched(
-        &adj,
-        &within,
-        0,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
-        &mut out,
-        NONE,
-    ));
+    // Warm-up grows the pooled worker arena.
+    assert!(max_clique_dense(&adj, &within, 0, run, None, &mut out));
     let omega = out.len();
 
     let before = thread_allocs();
-    assert!(max_clique_dense_sched(
-        &adj,
-        &within,
-        0,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
-        &mut out,
-        NONE,
-    ));
+    assert!(max_clique_dense(&adj, &within, 0, run, None, &mut out));
     let allocs = thread_allocs() - before;
     assert_eq!(out.len(), omega);
     assert_eq!(
         allocs, 0,
-        "sched MC task body allocated {allocs} times after warm-up"
+        "width-1 MC search allocated {allocs} times after warm-up"
     );
 
-    // Same for the k-VC decision body.
+    // Same for the k-VC decision.
     let sparse = dense_graph(90, 250, 17);
     let alive = Bitset::full(sparse.len());
     let mvc = min_vertex_cover(&sparse, None).len();
     let mut cover = Vec::new();
-    let d = vertex_cover_decision_sched(
-        &sparse,
-        &alive,
-        mvc,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
-        &mut cover,
-        NONE,
-    );
-    assert!(d.found);
+    let mut both = || {
+        assert!(vertex_cover_decision(&sparse, &alive, mvc, run, None, &mut cover).found);
+        assert!(!vertex_cover_decision(&sparse, &alive, mvc - 1, run, None, &mut cover).found);
+    };
+    both();
 
     let before = thread_allocs();
-    let d = vertex_cover_decision_sched(
-        &sparse,
-        &alive,
-        mvc,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
-        &mut cover,
-        NONE,
-    );
+    both();
     let allocs = thread_allocs() - before;
-    assert!(d.found);
     assert_eq!(
         allocs, 0,
-        "sched k-VC task body allocated {allocs} times after warm-up"
+        "width-1 k-VC decision allocated {allocs} times after warm-up"
     );
 }
 
