@@ -4,15 +4,17 @@
 //! `X-Request-Id` handling (valid inbound ids honoured and echoed,
 //! invalid or absent ids replaced with generated ones), live progress on
 //! a running solve via `GET /jobs/<id>`, the `GET /debug/slow` span
-//! trees, structured JSON log capture, and the expired-vs-unknown 404
-//! distinction.
+//! trees, structured JSON log capture, the expired-vs-unknown 404
+//! distinction, and the exposition pin: every `/metrics` family, every
+//! `/healthz` and `/stats` field, and the agreement of the JSON fields
+//! with the series that carry the same value.
 
 mod common;
 
-use common::{str_field, u64_field, upload, Client};
+use common::{bool_field, str_field, u64_field, upload, Client};
 use lazymc_graph::gen;
 use lazymc_service::{serve, Json, LogSink, ServiceConfig, ServiceHandle};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 fn start(cfg: ServiceConfig) -> ServiceHandle {
@@ -453,4 +455,415 @@ fn stats_reports_queue_wait_percentiles() {
         );
     }
     handle.stop();
+}
+
+/// Every `/metrics` family: name, `# TYPE` and label keys (histograms:
+/// without `le`). A family may be added; one that is dropped, renamed,
+/// retyped or relabelled fails [`exposition_is_pinned`].
+const FAMILIES: &[(&str, &str, &[&str])] = &[
+    ("lazymc_requests_total", "counter", &[]),
+    ("lazymc_bad_requests_total", "counter", &[]),
+    ("lazymc_http_conns_accepted_total", "counter", &[]),
+    ("lazymc_http_conns_rejected_total", "counter", &[]),
+    ("lazymc_http_read_stalls_total", "counter", &[]),
+    ("lazymc_http_write_stalls_total", "counter", &[]),
+    ("lazymc_http_request_timeouts_total", "counter", &[]),
+    ("lazymc_solves_total", "counter", &[]),
+    ("lazymc_solves_truncated_total", "counter", &[]),
+    ("lazymc_solver_panics_total", "counter", &[]),
+    ("lazymc_jobs_async_total", "counter", &[]),
+    ("lazymc_jobs_cancelled_http_total", "counter", &[]),
+    ("lazymc_jobs_expired_total", "counter", &[]),
+    ("lazymc_batches_total", "counter", &[]),
+    ("lazymc_batch_jobs_total", "counter", &[]),
+    ("lazymc_result_cache_hits_total", "counter", &[]),
+    ("lazymc_result_cache_misses_total", "counter", &[]),
+    ("lazymc_result_cache_ttl_evictions_total", "counter", &[]),
+    ("lazymc_result_cache_size_evictions_total", "counter", &[]),
+    ("lazymc_graph_lookup_hits_total", "counter", &[]),
+    ("lazymc_graph_lookup_misses_total", "counter", &[]),
+    ("lazymc_graphs_evicted_total", "counter", &[]),
+    ("lazymc_jobs_rejected_total", "counter", &[]),
+    ("lazymc_jobs_cancelled_total", "counter", &[]),
+    ("lazymc_core_computes_total", "counter", &[]),
+    ("lazymc_snapshot_lazy_loads_total", "counter", &[]),
+    ("lazymc_snapshot_mmap_total", "counter", &[]),
+    ("lazymc_snapshot_writes_total", "counter", &[]),
+    ("lazymc_snapshot_write_errors_total", "counter", &[]),
+    ("lazymc_snapshots_quarantined_total", "counter", &[]),
+    ("lazymc_core_retained_coreness_total", "counter", &[]),
+    ("lazymc_core_retained_f1_total", "counter", &[]),
+    ("lazymc_core_retained_f2_total", "counter", &[]),
+    ("lazymc_core_retained_f3_total", "counter", &[]),
+    ("lazymc_core_searched_mc_total", "counter", &[]),
+    ("lazymc_core_searched_kvc_total", "counter", &[]),
+    ("lazymc_core_mc_nodes_total", "counter", &[]),
+    ("lazymc_core_vc_nodes_total", "counter", &[]),
+    ("lazymc_core_reduced_vertices_total", "counter", &[]),
+    ("lazymc_core_vc_reductions_total", "counter", &[]),
+    ("lazymc_core_split_tasks_total", "counter", &[]),
+    ("lazymc_core_steals_total", "counter", &[]),
+    ("lazymc_core_incumbent_broadcasts_total", "counter", &[]),
+    ("lazymc_core_filter_micros_total", "counter", &[]),
+    ("lazymc_core_mc_micros_total", "counter", &[]),
+    ("lazymc_core_kvc_micros_total", "counter", &[]),
+    ("lazymc_sched_steals_total", "counter", &[]),
+    ("lazymc_sched_parks_total", "counter", &[]),
+    ("lazymc_sched_preemptions_total", "counter", &[]),
+    ("lazymc_sched_unit_runs_total", "counter", &[]),
+    ("lazymc_sched_job_runs_total", "counter", &[]),
+    ("lazymc_sched_worker_panics_total", "counter", &[]),
+    ("lazymc_sched_worker_respawns_total", "counter", &[]),
+    ("lazymc_chaos_injections_total", "counter", &[]),
+    ("lazymc_journal_appends_total", "counter", &[]),
+    ("lazymc_journal_append_errors_total", "counter", &[]),
+    ("lazymc_journal_rotations_total", "counter", &[]),
+    ("lazymc_jobs_replayed_total", "counter", &[]),
+    ("lazymc_degraded_events_total", "counter", &[]),
+    ("lazymc_overload_shed_total", "counter", &[]),
+    ("lazymc_jobs_doa_total", "counter", &[]),
+    ("lazymc_mem_soft_rejects_total", "counter", &[]),
+    ("lazymc_mem_hard_cancels_total", "counter", &[]),
+    ("lazymc_journal_reenabled_total", "counter", &[]),
+    ("lazymc_scrub_passes_total", "counter", &[]),
+    ("lazymc_scrub_corruptions_total", "counter", &[]),
+    ("lazymc_drain_completions_observed_total", "counter", &[]),
+    ("lazymc_queue_depth", "gauge", &[]),
+    ("lazymc_jobs_inflight", "gauge", &[]),
+    ("lazymc_jobs_stored", "gauge", &[]),
+    ("lazymc_job_store_bytes", "gauge", &[]),
+    ("lazymc_http_open_connections", "gauge", &[]),
+    ("lazymc_http_buffered_bytes", "gauge", &[]),
+    ("lazymc_result_cache_bytes", "gauge", &[]),
+    ("lazymc_result_cache_entries", "gauge", &[]),
+    ("lazymc_graphs_resident", "gauge", &[]),
+    ("lazymc_graphs_mapped", "gauge", &[]),
+    ("lazymc_mapped_bytes", "gauge", &[]),
+    ("lazymc_snapshots_on_disk", "gauge", &[]),
+    ("lazymc_snapshot_disk_bytes", "gauge", &[]),
+    ("lazymc_uptime_seconds", "gauge", &[]),
+    ("lazymc_degraded", "gauge", &[]),
+    ("lazymc_journal_pending", "gauge", &[]),
+    ("lazymc_draining", "gauge", &[]),
+    ("lazymc_overload_shedding", "gauge", &[]),
+    ("lazymc_retry_after_seconds", "gauge", &[]),
+    ("lazymc_mem_live_bytes", "gauge", &[]),
+    ("lazymc_mem_soft_limit_bytes", "gauge", &[]),
+    ("lazymc_mem_hard_limit_bytes", "gauge", &[]),
+    ("lazymc_mem_tracked", "gauge", &[]),
+    ("lazymc_sched_workers", "gauge", &[]),
+    ("lazymc_sched_busy_seconds_total", "counter", &["worker"]),
+    ("lazymc_sched_thread_efficiency", "gauge", &["worker"]),
+    ("lazymc_drain_rate_per_sec", "gauge", &[]),
+    ("lazymc_queue_depth_by_priority", "gauge", &["priority"]),
+    ("lazymc_build_info", "gauge", &["git_sha", "version"]),
+    ("lazymc_http_request_seconds", "histogram", &["route"]),
+    ("lazymc_queue_wait_seconds", "histogram", &[]),
+    ("lazymc_solve_wall_seconds", "histogram", &[]),
+    ("lazymc_solve_phase_seconds", "histogram", &["phase"]),
+];
+
+/// Every `/healthz` field and its JSON type on a durable daemon with a
+/// budget cap (so no field is `null`); `a.b` is field `b` of object `a`.
+const HEALTHZ_FIELDS: &[(&str, &str)] = &[
+    ("status", "string"),
+    ("state", "string"),
+    ("degraded_reasons", "array"),
+    ("journal", "string"),
+    ("journal_pending", "number"),
+    ("draining", "bool"),
+    ("shedding", "bool"),
+    ("memory", "object"),
+    ("memory.tracked", "bool"),
+    ("memory.enforced", "bool"),
+    ("memory.live_bytes", "number"),
+    ("memory.level", "string"),
+    ("scrub_passes", "number"),
+    ("scrub_corruptions", "number"),
+    ("max_budget_ms", "number"),
+    ("uptime_ms", "number"),
+    ("graphs", "number"),
+    ("durable", "bool"),
+    ("snapshots", "number"),
+    ("snapshot_disk_bytes", "number"),
+    ("graphs_mapped", "number"),
+    ("mapped_bytes", "number"),
+    ("snapshot_heap_bytes", "number"),
+    ("queue_depth", "number"),
+    ("jobs_inflight", "number"),
+    ("jobs_stored", "number"),
+    ("job_store_bytes", "number"),
+    ("open_connections", "number"),
+    ("read_stalls", "number"),
+    ("write_stalls", "number"),
+    ("buffered_bytes", "number"),
+    ("result_cache_bytes", "number"),
+    ("result_cache_entries", "number"),
+];
+
+/// Every `/stats` field and its JSON type, as for [`HEALTHZ_FIELDS`]
+/// (queue-wait quantiles are numbers once a solve has completed).
+const STATS_FIELDS: &[(&str, &str)] = &[
+    ("uptime_ms", "number"),
+    ("graphs", "number"),
+    ("on_disk", "number"),
+    ("queue_capacity", "number"),
+    ("io_threads", "number"),
+    ("workers", "number"),
+    ("solver_workers", "number"),
+    ("conn_limit", "number"),
+    ("job_ttl_ms", "number"),
+    ("max_budget_ms", "number"),
+    ("requests_total", "number"),
+    ("solves_total", "number"),
+    ("result_cache_hits", "number"),
+    ("result_cache_misses", "number"),
+    ("queue_wait_count", "number"),
+    ("queue_wait_p50_ms", "number"),
+    ("queue_wait_p90_ms", "number"),
+    ("queue_wait_p99_ms", "number"),
+    ("graphs_mapped", "number"),
+    ("mapped_bytes", "number"),
+    ("snapshot_heap_bytes", "number"),
+    ("queue_depth", "number"),
+    ("jobs_inflight", "number"),
+    ("jobs_stored", "number"),
+    ("job_store_bytes", "number"),
+    ("open_connections", "number"),
+    ("read_stalls", "number"),
+    ("write_stalls", "number"),
+    ("buffered_bytes", "number"),
+    ("result_cache_bytes", "number"),
+    ("result_cache_entries", "number"),
+];
+
+/// JSON fields of `/healthz` and `/stats` that report the value of a
+/// `/metrics` series, under the field's own name.
+const SHARED_FIELDS: &[(&str, &str)] = &[
+    ("graphs", "lazymc_graphs_resident"),
+    ("snapshots", "lazymc_snapshots_on_disk"),
+    ("on_disk", "lazymc_snapshots_on_disk"),
+    ("snapshot_disk_bytes", "lazymc_snapshot_disk_bytes"),
+    ("journal_pending", "lazymc_journal_pending"),
+    ("scrub_passes", "lazymc_scrub_passes_total"),
+    ("scrub_corruptions", "lazymc_scrub_corruptions_total"),
+    ("requests_total", "lazymc_requests_total"),
+    ("solves_total", "lazymc_solves_total"),
+    ("result_cache_hits", "lazymc_result_cache_hits_total"),
+    ("result_cache_misses", "lazymc_result_cache_misses_total"),
+    ("graphs_mapped", "lazymc_graphs_mapped"),
+    ("mapped_bytes", "lazymc_mapped_bytes"),
+    ("queue_depth", "lazymc_queue_depth"),
+    ("jobs_inflight", "lazymc_jobs_inflight"),
+    ("jobs_stored", "lazymc_jobs_stored"),
+    ("job_store_bytes", "lazymc_job_store_bytes"),
+    ("open_connections", "lazymc_http_open_connections"),
+    ("read_stalls", "lazymc_http_read_stalls_total"),
+    ("write_stalls", "lazymc_http_write_stalls_total"),
+    ("buffered_bytes", "lazymc_http_buffered_bytes"),
+    ("result_cache_bytes", "lazymc_result_cache_bytes"),
+    ("result_cache_entries", "lazymc_result_cache_entries"),
+];
+
+fn data_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lazymc_obs_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Label keys of one sample line, without `le`, sorted.
+fn label_keys(line: &str) -> Vec<String> {
+    let Some(open) = line.find('{') else {
+        return Vec::new();
+    };
+    let mut keys = Vec::new();
+    let mut rest = &line[open + 1..];
+    while let Some(eq) = rest.find("=\"") {
+        keys.push(rest[..eq].trim_start_matches(',').to_string());
+        // Skip the quoted value, honouring backslash escapes.
+        let mut escaped = false;
+        let close = rest[eq + 2..]
+            .char_indices()
+            .find(|&(_, ch)| {
+                let end = ch == '"' && !escaped;
+                escaped = ch == '\\' && !escaped;
+                end
+            })
+            .map(|(i, _)| eq + 2 + i)
+            .expect("closed label value");
+        rest = &rest[close + 1..];
+        if !rest.starts_with(',') {
+            break;
+        }
+    }
+    keys.retain(|k| k != "le");
+    keys.sort();
+    keys
+}
+
+/// `key → JSON type` of an object's fields, one level of nesting flattened
+/// as `a.b`.
+fn json_types(v: &Json) -> HashMap<String, &'static str> {
+    fn type_of(v: &Json) -> &'static str {
+        match v {
+            Json::Null => "null",
+            Json::Bool(_) => "bool",
+            Json::Num(_) => "number",
+            Json::Str(_) => "string",
+            Json::Arr(_) => "array",
+            Json::Obj(_) => "object",
+        }
+    }
+    let Json::Obj(fields) = v else {
+        panic!("not a JSON object: {v:?}");
+    };
+    let mut out = HashMap::new();
+    for (key, value) in fields {
+        out.insert(key.clone(), type_of(value));
+        if let Json::Obj(inner) = value {
+            for (sub, sv) in inner {
+                out.insert(format!("{key}.{sub}"), type_of(sv));
+            }
+        }
+    }
+    out
+}
+
+/// The value of an unlabelled series in a `/metrics` text.
+fn series_value(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find(|l| series_name(l) == name && !l.starts_with('#'))
+        .and_then(|l| l.rsplit_once(' '))
+        .and_then(|(_, v)| v.parse().ok())
+        .unwrap_or_else(|| panic!("series {name} missing"))
+}
+
+/// Pins the daemon's whole exposition: each `/metrics` family's name,
+/// type and label keys, and each `/healthz` and `/stats` field's key and
+/// JSON type. A queued job makes the per-priority depth family carry a
+/// sample, so its labels are checked too.
+#[test]
+fn exposition_is_pinned() {
+    let dir = data_dir("pin");
+    let handle = start(ServiceConfig {
+        solver_workers: 1,
+        workers: 4,
+        data_dir: Some(dir.to_str().unwrap().to_string()),
+        max_budget_ms: Some(600_000),
+        ..ServiceConfig::default()
+    });
+    let mut c = Client::connect(handle.addr());
+    upload(&mut c, "g", &gen::planted_clique(150, 0.04, 8, 5));
+    let (status, _) = c.post_json("/solve", r#"{"graph":"g"}"#);
+    assert_eq!(status, 200);
+
+    // Job A holds the only solver, job B waits behind it.
+    upload(&mut c, "slow", &gen::gnp(300, 0.5, 7)); // seconds-scale in debug builds
+    let (status, a) = c.post_json("/solve?async=1", r#"{"graph":"slow","no_cache":true}"#);
+    assert_eq!(status, 202);
+    let (status, b) = c.post_json("/solve?async=1", r#"{"graph":"slow","no_cache":true}"#);
+    assert_eq!(status, 202);
+    let (a_id, b_id) = (u64_field(&a, "job_id"), u64_field(&b, "job_id"));
+    let (status, _, text) = c.request("GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let (_, view) = c.get_json(&format!("/jobs/{b_id}"));
+    assert_eq!(str_field(&view, "status"), "queued", "{view:?}");
+    let (_, health) = c.get_json("/healthz");
+    let (_, stats) = c.get_json("/stats");
+    for id in [b_id, a_id] {
+        let (status, cancelled) = c.delete_json(&format!("/jobs/{id}"));
+        assert_eq!(status, 200, "{cancelled:?}");
+        assert!(bool_field(&cancelled, "cancelled"));
+    }
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut types: HashMap<&str, &str> = HashMap::new();
+    for rest in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let (name, kind) = rest.split_once(' ').expect("# TYPE name kind");
+        types.insert(name, kind);
+    }
+    let mut labels: HashMap<&str, BTreeSet<Vec<String>>> = HashMap::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let series = series_name(line);
+        let family = if types.contains_key(series) {
+            series
+        } else {
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| series.strip_suffix(suffix))
+                .filter(|base| types.get(base) == Some(&"histogram"))
+                .unwrap_or_else(|| panic!("sample {series} has no family"))
+        };
+        labels.entry(family).or_default().insert(label_keys(line));
+    }
+    for &(name, kind, keys) in FAMILIES {
+        assert_eq!(types.get(name), Some(&kind), "# TYPE of {name}");
+        let want: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+        assert_eq!(
+            labels.get(name),
+            Some(&BTreeSet::from([want])),
+            "label keys of {name}"
+        );
+    }
+
+    for (endpoint, body, pinned) in [
+        ("/healthz", &health, HEALTHZ_FIELDS),
+        ("/stats", &stats, STATS_FIELDS),
+    ] {
+        let got = json_types(body);
+        for &(key, kind) in pinned {
+            assert_eq!(
+                got.get(key),
+                Some(&kind),
+                "{endpoint} field {key}: {body:?}"
+            );
+        }
+    }
+}
+
+/// On an idle daemon, every `/healthz` and `/stats` field that reports a
+/// series' value equals that series. `/metrics` is read last, so the
+/// request counter may run ahead by the two scrapes after `/healthz`.
+#[test]
+fn idle_json_fields_agree_with_their_series() {
+    let dir = data_dir("agree");
+    let handle = start(ServiceConfig {
+        data_dir: Some(dir.to_str().unwrap().to_string()),
+        ..ServiceConfig::default()
+    });
+    let mut c = Client::connect(handle.addr());
+    upload(&mut c, "g", &gen::planted_clique(150, 0.04, 8, 7));
+    for cached in [false, true] {
+        let (status, solved) = c.post_json("/solve", r#"{"graph":"g"}"#);
+        assert_eq!(status, 200);
+        assert_eq!(bool_field(&solved, "cached"), cached);
+    }
+    let (_, health) = c.get_json("/healthz");
+    let (_, stats) = c.get_json("/stats");
+    let (status, _, text) = c.request("GET", "/metrics", None);
+    assert_eq!(status, 200);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for &(key, series) in SHARED_FIELDS {
+        let value = series_value(&text, series);
+        let mut seen = false;
+        for (endpoint, body) in [("/healthz", &health), ("/stats", &stats)] {
+            let Some(field) = body.get(key) else {
+                continue;
+            };
+            seen = true;
+            let field = field.as_u64().expect("numeric field");
+            if series == "lazymc_requests_total" {
+                assert!(
+                    (field..=field + 2).contains(&value),
+                    "{endpoint} {key} {field} vs {series} {value}"
+                );
+            } else {
+                assert_eq!(field, value, "{endpoint} {key} vs {series}");
+            }
+        }
+        assert!(seen, "no endpoint reports {key}");
+    }
 }
