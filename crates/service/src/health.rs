@@ -4,7 +4,7 @@
 //! error, must not turn uploads and solves into 500s — the in-memory side
 //! of both features keeps working. Instead the failing component records a
 //! *degradation reason* here; `/healthz` reports `"state": "degraded"`
-//! with the reasons, monitoring alerts on the `lazymc_degraded` gauge, and
+//! with the reasons, monitoring alerts on the `/metrics` degraded gauge, and
 //! the component clears its reason on the next success (disk freed,
 //! journal re-enabled after an operator fixes the volume).
 //!

@@ -42,12 +42,15 @@
 //!   phase-labelled latency histograms, request tracing (`X-Request-Id`
 //!   in → spans → structured JSON log lines out), and the slow-query log
 //!   behind `GET /debug/slow`.
-//! * [`server`] — configuration, routing, the request-worker pool, the
-//!   machine-wide `lazymc-sched` work-stealing pool all solves execute
+//! * `metrics` — the one table of the daemon's counters and gauges
+//!   (`lazymc_core::metrics` counters plus cache, reactor and scheduler
+//!   telemetry): each entry's name, help, kind, JSON keys and read.
+//!   `/metrics` renders it in Prometheus text format, `/healthz` and
+//!   `/stats` render its JSON keys, so the three agree by construction.
+//! * [`server`] — configuration, routing, the request-worker pool, and
+//!   the machine-wide `lazymc-sched` work-stealing pool all solves execute
 //!   on (root jobs *and* stolen subtrees; `--solver-workers` sizes it —
-//!   see `docs/scheduler.md`), and the Prometheus `/metrics` endpoint
-//!   exposing `lazymc_core::metrics` counters plus cache, reactor and
-//!   scheduler telemetry.
+//!   see `docs/scheduler.md`).
 //!
 //! # Quick start
 //!
@@ -86,6 +89,7 @@ pub mod conn;
 pub mod health;
 pub mod jobs;
 pub mod journal;
+mod metrics;
 pub mod obs;
 pub mod overload;
 pub mod persist;

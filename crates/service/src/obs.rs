@@ -11,6 +11,7 @@
 //! `X-Request-Id`) which flows HTTP → queue → job → solve, so one grep
 //! over the log reconstructs a request's whole path through the daemon.
 
+use crate::metrics::{header, Kind};
 use crate::plock;
 use crate::protocol::Json;
 use lazymc_core::PhaseTimes;
@@ -304,9 +305,11 @@ impl ServiceObs {
     /// format (one `# HELP`/`# TYPE` header per family, one label set
     /// per route/phase).
     pub(crate) fn render_prometheus(&self, out: &mut String) {
-        out.push_str(
-            "# HELP lazymc_http_request_seconds HTTP request latency by route class\n\
-             # TYPE lazymc_http_request_seconds histogram\n",
+        header(
+            out,
+            "lazymc_http_request_seconds",
+            Kind::Histogram,
+            "HTTP request latency by route class",
         );
         for (route, h) in ROUTES.iter().zip(self.http.iter()) {
             h.snapshot().render_prometheus(
@@ -315,23 +318,29 @@ impl ServiceObs {
                 &format!("route=\"{route}\""),
             );
         }
-        out.push_str(
-            "# HELP lazymc_queue_wait_seconds Solve-job wait between enqueue and solver pop\n\
-             # TYPE lazymc_queue_wait_seconds histogram\n",
+        header(
+            out,
+            "lazymc_queue_wait_seconds",
+            Kind::Histogram,
+            "Solve-job wait between enqueue and solver pop",
         );
         self.queue_wait
             .snapshot()
             .render_prometheus(out, "lazymc_queue_wait_seconds", "");
-        out.push_str(
-            "# HELP lazymc_solve_wall_seconds Solver wall time per executed job\n\
-             # TYPE lazymc_solve_wall_seconds histogram\n",
+        header(
+            out,
+            "lazymc_solve_wall_seconds",
+            Kind::Histogram,
+            "Solver wall time per executed job",
         );
         self.solve_wall
             .snapshot()
             .render_prometheus(out, "lazymc_solve_wall_seconds", "");
-        out.push_str(
-            "# HELP lazymc_solve_phase_seconds Solve wall time by pipeline phase\n\
-             # TYPE lazymc_solve_phase_seconds histogram\n",
+        header(
+            out,
+            "lazymc_solve_phase_seconds",
+            Kind::Histogram,
+            "Solve wall time by pipeline phase",
         );
         for (phase, h) in PHASES.iter().zip(self.phases.iter()) {
             h.snapshot().render_prometheus(

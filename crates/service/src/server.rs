@@ -40,6 +40,7 @@ use crate::jobs::{
     BatchAggregator, CancelOutcome, JobMeta, JobSink, JobState, JobStore, SolveReply,
 };
 use crate::journal::{Journal, ReplayedJob};
+use crate::metrics::Scrape;
 use crate::obs::{phase_micros, ServiceObs, SolveObservation};
 use crate::overload::{DrainRate, MemLevel, MemWatermarks, Shedder};
 use crate::plock;
@@ -302,7 +303,8 @@ pub struct ServiceState {
     /// The pool itself, held so shutdown can join its workers. `None`
     /// after [`ServiceHandle::stop`] takes it.
     sched_pool: Mutex<Option<SchedPool>>,
-    core_totals: Mutex<MetricsSnapshot>,
+    /// `lazymc_core` counters summed over every completed solve.
+    pub(crate) core_totals: Mutex<MetricsSnapshot>,
     /// Degraded-health registry: non-fatal component failures (snapshot
     /// writes, journal appends) surface here instead of as 500s.
     pub health: Arc<Health>,
@@ -322,7 +324,7 @@ pub struct ServiceState {
     /// flips to 503, keep-alive responses carry `Connection: close`, and
     /// in-flight work runs to completion.
     draining: AtomicBool,
-    started: Instant,
+    pub(crate) started: Instant,
     pub(crate) next_conn_token: AtomicU64,
 }
 
@@ -1079,7 +1081,11 @@ pub(crate) fn dispatch(
         match (req.method.as_str(), path) {
             ("GET", "/healthz") => Some(healthz(state, cfg)),
             ("GET", "/readyz") => Some(readyz(state)),
-            ("GET", "/metrics") => Some(metrics(state)),
+            ("GET", "/metrics") => Some(Response::text(
+                200,
+                "text/plain; version=0.0.4",
+                crate::metrics::render(state),
+            )),
             ("GET", "/stats") => Some(global_stats(state, cfg)),
             ("GET", "/graphs") => Some(list_graphs(state)),
             ("GET", "/debug/slow") => Some(Response::json(200, state.obs.slow_json())),
@@ -1705,13 +1711,7 @@ fn graph_stats(state: &ServiceState, cfg: &ServiceConfig, name: &str) -> Respons
                 Json::num(entry.loaded_at.elapsed().as_millis() as f64),
             ),
             ("lazy_loaded", Json::Bool(entry.lazy_loaded)),
-            (
-                "max_budget_ms",
-                match cfg.max_budget_ms {
-                    Some(ms) => Json::num(ms as f64),
-                    None => Json::Null,
-                },
-            ),
+            ("max_budget_ms", max_budget_json(cfg)),
             (
                 "snapshot_bytes",
                 Json::num(
@@ -1766,65 +1766,6 @@ fn list_graphs(state: &ServiceState) -> Response {
             ),
         ]),
     )
-}
-
-/// The service-level gauge set reported identically (same names, same
-/// values) by `/healthz`, `/stats`, and — as `lazymc_*` series — by
-/// `/metrics`.
-fn gauges(state: &ServiceState) -> Vec<(&'static str, Json)> {
-    let m = &state.metrics;
-    let (jobs_stored, job_store_bytes) = state.jobs.stats();
-    // Residency is two different currencies now: heap bytes are memory the
-    // daemon actually owns (what eviction frees); mapped bytes are page
-    // cache the kernel reclaims on its own.
-    let (graphs_mapped, mapped_bytes, snapshot_heap_bytes) =
-        state
-            .registry
-            .entries()
-            .iter()
-            .fold((0u64, 0u64, 0u64), |(n, mb, hb), e| {
-                (
-                    n + u64::from(e.is_mapped()),
-                    mb + e.graph.mapped_bytes(),
-                    hb + e.graph.heap_bytes(),
-                )
-            });
-    vec![
-        ("graphs_mapped", Json::num(graphs_mapped as f64)),
-        ("mapped_bytes", Json::num(mapped_bytes as f64)),
-        ("snapshot_heap_bytes", Json::num(snapshot_heap_bytes as f64)),
-        ("queue_depth", Json::num(state.queue.depth() as f64)),
-        (
-            "jobs_inflight",
-            Json::num(state.jobs.jobs_inflight.load(Ordering::Relaxed) as f64),
-        ),
-        ("jobs_stored", Json::num(jobs_stored as f64)),
-        ("job_store_bytes", Json::num(job_store_bytes as f64)),
-        (
-            "open_connections",
-            Json::num(m.open_connections.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "read_stalls",
-            Json::num(m.read_stalls_total.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "write_stalls",
-            Json::num(m.write_stalls_total.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "buffered_bytes",
-            Json::num(m.buffered_bytes.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "result_cache_bytes",
-            Json::num(state.results.bytes() as f64),
-        ),
-        (
-            "result_cache_entries",
-            Json::num(state.results.len() as f64),
-        ),
-    ]
 }
 
 /// `GET /debug/chaos`: whether fault injection is compiled in, the
@@ -1917,6 +1858,8 @@ fn readyz(state: &ServiceState) -> Response {
     Response::json(200, Json::obj(vec![("ready", Json::Bool(true))]))
 }
 
+/// `GET /healthz`: liveness, component health and lifecycle, then every
+/// field the metric table shares with `/stats` (see [`crate::metrics`]).
 fn healthz(state: &ServiceState, cfg: &ServiceConfig) -> Response {
     let degraded = state.health.is_degraded();
     let mut fields = vec![
@@ -1951,10 +1894,6 @@ fn healthz(state: &ServiceState, cfg: &ServiceConfig) -> Response {
                 None => Json::Null,
             },
         ),
-        (
-            "journal_pending",
-            Json::num(state.journal.as_ref().map_or(0, |j| j.pending_len()) as f64),
-        ),
         // Lifecycle: liveness stays 200 through a drain (/readyz is the
         // endpoint that flips), but operators can see the phase here.
         ("draining", Json::Bool(state.is_draining())),
@@ -1975,65 +1914,32 @@ fn healthz(state: &ServiceState, cfg: &ServiceConfig) -> Response {
                 ),
             ]),
         ),
-        (
-            "scrub_passes",
-            Json::num(state.metrics.scrub_passes_total.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "scrub_corruptions",
-            Json::num(
-                state
-                    .metrics
-                    .scrub_corruptions_total
-                    .load(Ordering::Relaxed) as f64,
-            ),
-        ),
-        (
-            "max_budget_ms",
-            match cfg.max_budget_ms {
-                Some(ms) => Json::num(ms as f64),
-                None => Json::Null,
-            },
-        ),
+        ("max_budget_ms", max_budget_json(cfg)),
         (
             "uptime_ms",
             Json::num(state.started.elapsed().as_millis() as f64),
         ),
-        ("graphs", Json::num(state.registry.len() as f64)),
         ("durable", Json::Bool(state.registry.store().is_some())),
-        (
-            "snapshots",
-            Json::num(state.registry.store().map_or(0, |s| s.len()) as f64),
-        ),
-        (
-            "snapshot_disk_bytes",
-            Json::num(state.registry.store().map_or(0, |s| s.total_bytes()) as f64),
-        ),
     ];
-    fields.extend(gauges(state));
-    Response::json(
-        200,
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        ),
-    )
+    fields.extend(Scrape::new(state).json_fields());
+    Response::json(200, Json::obj(fields))
 }
 
-/// `GET /stats` — server-wide counters and configuration (the per-graph
-/// variant lives at `/stats/<name>`).
+/// `GET /stats`: configuration and queue-wait quantiles, then every field
+/// the metric table shares with `/healthz` (the per-graph variant lives at
+/// `/stats/<name>`).
 fn global_stats(state: &ServiceState, cfg: &ServiceConfig) -> Response {
+    // Queue wait as a first-class stat: the histogram the solver loop
+    // feeds, summarized as quantiles (log2 buckets: within 2x).
+    let qw = state.obs.queue_wait.snapshot();
+    let q = |q: f64| {
+        qw.quantile_us(q)
+            .map_or(Json::Null, |us| Json::num(us as f64 / 1e3))
+    };
     let mut fields = vec![
         (
             "uptime_ms",
             Json::num(state.started.elapsed().as_millis() as f64),
-        ),
-        ("graphs", Json::num(state.registry.len() as f64)),
-        (
-            "on_disk",
-            Json::num(state.registry.store().map_or(0, |s| s.len()) as f64),
         ),
         ("queue_capacity", Json::num(cfg.queue_capacity as f64)),
         ("io_threads", Json::num(cfg.effective_io_threads() as f64)),
@@ -2044,591 +1950,18 @@ fn global_stats(state: &ServiceState, cfg: &ServiceConfig) -> Response {
         ),
         ("conn_limit", Json::num(cfg.effective_conn_limit() as f64)),
         ("job_ttl_ms", Json::num(cfg.job_ttl.as_millis() as f64)),
-        (
-            "max_budget_ms",
-            match cfg.max_budget_ms {
-                Some(ms) => Json::num(ms as f64),
-                None => Json::Null,
-            },
-        ),
-        (
-            "requests_total",
-            Json::num(state.metrics.requests_total.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "solves_total",
-            Json::num(state.metrics.solves_total.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "result_cache_hits",
-            Json::num(state.results.hits.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "result_cache_misses",
-            Json::num(state.results.misses.load(Ordering::Relaxed) as f64),
-        ),
+        ("max_budget_ms", max_budget_json(cfg)),
+        ("queue_wait_count", Json::num(qw.count() as f64)),
+        ("queue_wait_p50_ms", q(0.50)),
+        ("queue_wait_p90_ms", q(0.90)),
+        ("queue_wait_p99_ms", q(0.99)),
     ];
-    // Queue wait as a first-class stat: the histogram the solver loop
-    // feeds, summarized as quantiles (log2 buckets: within 2x).
-    let qw = state.obs.queue_wait.snapshot();
-    let q = |q: f64| match qw.quantile_us(q) {
-        Some(us) => Json::num(us as f64 / 1e3),
-        None => Json::Null,
-    };
-    fields.push(("queue_wait_count", Json::num(qw.count() as f64)));
-    fields.push(("queue_wait_p50_ms", q(0.50)));
-    fields.push(("queue_wait_p90_ms", q(0.90)));
-    fields.push(("queue_wait_p99_ms", q(0.99)));
-    fields.extend(gauges(state));
-    Response::json(
-        200,
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        ),
-    )
+    fields.extend(Scrape::new(state).json_fields());
+    Response::json(200, Json::obj(fields))
 }
 
-fn metrics(state: &ServiceState) -> Response {
-    let m = &state.metrics;
-    let totals = plock(&state.core_totals).clone();
-    let mut out = String::new();
-    let mut counter = |name: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    };
-    counter(
-        "lazymc_requests_total",
-        "HTTP requests handled",
-        m.requests_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_bad_requests_total",
-        "Requests answered with a 4xx/5xx status",
-        m.bad_requests_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_http_conns_accepted_total",
-        "TCP connections accepted by the reactor",
-        m.conns_accepted_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_http_conns_rejected_total",
-        "Connections refused with 503 at the connection limit",
-        m.conns_rejected_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_http_read_stalls_total",
-        "Reads that returned WouldBlock mid-request (partial receive)",
-        m.read_stalls_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_http_write_stalls_total",
-        "Writes that left response bytes buffered (partial send)",
-        m.write_stalls_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_http_request_timeouts_total",
-        "Requests answered 408 after stalling past the read timeout",
-        m.request_timeouts_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_solves_total",
-        "Solve jobs executed (cache hits excluded)",
-        m.solves_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_solves_truncated_total",
-        "Solves cut short by their budget",
-        m.solves_truncated_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_solver_panics_total",
-        "Solve jobs that panicked in the solver",
-        m.solver_panics_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_jobs_async_total",
-        "Solve jobs submitted with ?async=1",
-        state.jobs.async_submitted.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_jobs_cancelled_http_total",
-        "Jobs cancelled via DELETE /jobs/<id>",
-        state.jobs.cancelled_http.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_jobs_expired_total",
-        "Completed async jobs evicted by TTL",
-        state.jobs.expired.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_batches_total",
-        "POST /solve-batch requests accepted",
-        m.batches_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_batch_jobs_total",
-        "Individual solve slots carried by batches",
-        m.batch_jobs_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_result_cache_hits_total",
-        "Solve requests answered from the result cache",
-        state.results.hits.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_result_cache_misses_total",
-        "Solve requests that missed the result cache",
-        state.results.misses.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_result_cache_ttl_evictions_total",
-        "Result-cache entries dropped by TTL expiry",
-        state.results.ttl_evictions.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_result_cache_size_evictions_total",
-        "Result-cache entries dropped by the byte budget",
-        state.results.size_evictions.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_graph_lookup_hits_total",
-        "Registry lookups that found the graph",
-        state.registry.hits.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_graph_lookup_misses_total",
-        "Registry lookups for unknown graphs",
-        state.registry.misses.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_graphs_evicted_total",
-        "Graphs evicted by the registry LRU",
-        state.registry.evictions.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_jobs_rejected_total",
-        "Solve jobs rejected with 429 (queue full)",
-        state.queue.rejected.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_jobs_cancelled_total",
-        "Queued jobs reaped after cancellation",
-        state.queue.cancelled.load(Ordering::Relaxed),
-    );
-    // Persistence: the restart-survival story in four counters. A reload
-    // after reboot shows up as a lazy load with core_computes flat — the
-    // observable proof that preprocessing was reused, not redone.
-    counter(
-        "lazymc_core_computes_total",
-        "k-core decompositions computed in-process (uploads; lazy reloads deserialize instead)",
-        state.registry.core_computes.load(Ordering::Relaxed),
-    );
-    let store = state.registry.store();
-    counter(
-        "lazymc_snapshot_lazy_loads_total",
-        "Graphs reloaded from disk snapshots on first use",
-        store.map_or(0, |s| s.lazy_loads.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_snapshot_mmap_total",
-        "Graphs mapped zero-copy from disk snapshots (no heap decode)",
-        store.map_or(0, |s| s.mmap_loads.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_snapshot_writes_total",
-        "Snapshots durably written (uploads and replacements)",
-        store.map_or(0, |s| s.writes.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_snapshot_write_errors_total",
-        "Snapshot writes that failed (graph resident but not durable)",
-        store.map_or(0, |s| s.write_errors.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_snapshots_quarantined_total",
-        "Snapshot files renamed aside after failing validation",
-        store.map_or(0, |s| s.quarantined.load(Ordering::Relaxed)),
-    );
-    // Aggregated lazymc_core counters across all completed solves.
-    counter(
-        "lazymc_core_retained_coreness_total",
-        "Neighbourhoods passing the coreness precondition",
-        totals.retained_coreness,
-    );
-    counter(
-        "lazymc_core_retained_f1_total",
-        "Neighbourhoods surviving filter 1",
-        totals.retained_f1,
-    );
-    counter(
-        "lazymc_core_retained_f2_total",
-        "Neighbourhoods surviving filter 2",
-        totals.retained_f2,
-    );
-    counter(
-        "lazymc_core_retained_f3_total",
-        "Neighbourhoods surviving filter 3",
-        totals.retained_f3,
-    );
-    counter(
-        "lazymc_core_searched_mc_total",
-        "Detailed searches dispatched to the MC solver",
-        totals.searched_mc,
-    );
-    counter(
-        "lazymc_core_searched_kvc_total",
-        "Detailed searches dispatched to the k-VC solver",
-        totals.searched_kvc,
-    );
-    counter(
-        "lazymc_core_mc_nodes_total",
-        "Branch-and-bound nodes expanded by the MC solver",
-        totals.mc_nodes,
-    );
-    counter(
-        "lazymc_core_vc_nodes_total",
-        "Branch-and-bound nodes expanded by the k-VC solver",
-        totals.vc_nodes,
-    );
-    counter(
-        "lazymc_core_reduced_vertices_total",
-        "Vertices removed by the subgraph reduction pass before detailed searches",
-        totals.reduced_vertices,
-    );
-    counter(
-        "lazymc_core_vc_reductions_total",
-        "Vertices removed or forced by the k-VC kernelization rules",
-        totals.vc_reductions,
-    );
-    counter(
-        "lazymc_core_split_tasks_total",
-        "Subtree tasks generated by intra-solve work splitting",
-        totals.split_tasks,
-    );
-    counter(
-        "lazymc_core_steals_total",
-        "Split tasks executed by a worker other than their generator",
-        totals.steals,
-    );
-    counter(
-        "lazymc_core_incumbent_broadcasts_total",
-        "Incumbent/early-stop broadcasts between parallel solve workers",
-        totals.incumbent_broadcasts,
-    );
-    counter(
-        "lazymc_core_filter_micros_total",
-        "Thread-time spent filtering, microseconds",
-        totals.filter_time.as_micros() as u64,
-    );
-    counter(
-        "lazymc_core_mc_micros_total",
-        "Thread-time in the MC subgraph solver, microseconds",
-        totals.mc_time.as_micros() as u64,
-    );
-    counter(
-        "lazymc_core_kvc_micros_total",
-        "Thread-time in the k-VC subgraph solver, microseconds",
-        totals.kvc_time.as_micros() as u64,
-    );
-    // Machine-wide scheduler pool: the counters behind the "one stealable
-    // pool for all solves" design. Steals and preemptions say how work
-    // moved; parks say how often workers ran dry.
-    let sched_metrics = state.sched.metrics();
-    counter(
-        "lazymc_sched_steals_total",
-        "Scope tickets taken from another scheduler worker's deque",
-        sched_metrics.steals,
-    );
-    counter(
-        "lazymc_sched_parks_total",
-        "Times a scheduler worker parked on its doorbell",
-        sched_metrics.parks,
-    );
-    counter(
-        "lazymc_sched_preemptions_total",
-        "Times a helper re-queued its ticket for more urgent work",
-        sched_metrics.preemptions,
-    );
-    counter(
-        "lazymc_sched_unit_runs_total",
-        "Scope work units executed by the scheduler",
-        sched_metrics.unit_runs,
-    );
-    counter(
-        "lazymc_sched_job_runs_total",
-        "Root solve jobs executed by the scheduler",
-        sched_metrics.job_runs,
-    );
-    // Robustness: supervision, fault injection, the job journal and the
-    // degraded-health state (see docs/robustness.md).
-    counter(
-        "lazymc_sched_worker_panics_total",
-        "Panics caught inside scheduler workers (task units, jobs, or the worker loop)",
-        sched_metrics.worker_panics,
-    );
-    counter(
-        "lazymc_sched_worker_respawns_total",
-        "Scheduler worker loops restarted by their supervisor after a panic",
-        sched_metrics.worker_respawns,
-    );
-    counter(
-        "lazymc_chaos_injections_total",
-        "Faults injected by the chaos harness (0 unless armed)",
-        lazymc_chaos::injections_total(),
-    );
-    let jrnl = state.journal.as_ref();
-    counter(
-        "lazymc_journal_appends_total",
-        "Records appended to the job journal",
-        jrnl.map_or(0, |j| j.appends.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_journal_append_errors_total",
-        "Journal appends that failed (journal disabled, service degraded)",
-        jrnl.map_or(0, |j| j.append_errors.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_journal_rotations_total",
-        "Journal segment rotations",
-        jrnl.map_or(0, |j| j.rotations.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_jobs_replayed_total",
-        "Jobs recovered from the journal at boot",
-        jrnl.map_or(0, |j| j.replayed.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_degraded_events_total",
-        "Times a component entered the degraded state",
-        state.health.degraded_events.load(Ordering::Relaxed),
-    );
-    // Overload control, lifecycle and the integrity scrubber.
-    counter(
-        "lazymc_overload_shed_total",
-        "Admissions refused 503 by the queue-delay shedding controller",
-        state.shedder.shed_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_jobs_doa_total",
-        "Queued jobs reaped dead-on-arrival (budget expired before the solve started)",
-        m.jobs_doa_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_mem_soft_rejects_total",
-        "Uploads rejected 503 at the soft memory watermark",
-        state.mem.soft_rejects.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_mem_hard_cancels_total",
-        "Running solves cancelled at the hard memory watermark",
-        state.mem.hard_cancels.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_journal_reenabled_total",
-        "Times the journal self-heal re-probe brought a disabled journal back",
-        jrnl.map_or(0, |j| j.reenabled.load(Ordering::Relaxed)),
-    );
-    counter(
-        "lazymc_scrub_passes_total",
-        "Background integrity-scrub passes completed",
-        m.scrub_passes_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_scrub_corruptions_total",
-        "Corruptions found by the scrubber (snapshots quarantined, journal CRC failures)",
-        m.scrub_corruptions_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "lazymc_drain_completions_observed_total",
-        "Job completions observed by the Retry-After drain-rate estimator",
-        state.drain_rate.observed_total.load(Ordering::Relaxed),
-    );
-    let mut gauge = |name: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-        ));
-    };
-    gauge(
-        "lazymc_queue_depth",
-        "Pending solve jobs",
-        state.queue.depth() as u64,
-    );
-    gauge(
-        "lazymc_jobs_inflight",
-        "Solve jobs currently executing in solver workers",
-        state.jobs.jobs_inflight.load(Ordering::Relaxed),
-    );
-    let (jobs_stored, job_store_bytes) = state.jobs.stats();
-    gauge(
-        "lazymc_jobs_stored",
-        "Job records tracked (queued, running, retained results)",
-        jobs_stored as u64,
-    );
-    gauge(
-        "lazymc_job_store_bytes",
-        "Accounted bytes of retained async-job results",
-        job_store_bytes as u64,
-    );
-    gauge(
-        "lazymc_http_open_connections",
-        "Connections currently registered with the reactors",
-        m.open_connections.load(Ordering::Relaxed),
-    );
-    gauge(
-        "lazymc_http_buffered_bytes",
-        "Request bytes buffered in userspace across all connections",
-        m.buffered_bytes.load(Ordering::Relaxed),
-    );
-    gauge(
-        "lazymc_result_cache_bytes",
-        "Accounted bytes held by the result cache",
-        state.results.bytes() as u64,
-    );
-    gauge(
-        "lazymc_result_cache_entries",
-        "Entries held by the result cache",
-        state.results.len() as u64,
-    );
-    gauge(
-        "lazymc_graphs_resident",
-        "Graphs currently resident",
-        state.registry.len() as u64,
-    );
-    let (graphs_mapped, mapped_bytes) = state
-        .registry
-        .entries()
-        .iter()
-        .fold((0u64, 0u64), |(n, b), e| {
-            (n + u64::from(e.is_mapped()), b + e.graph.mapped_bytes())
-        });
-    gauge(
-        "lazymc_graphs_mapped",
-        "Resident graphs served zero-copy from a snapshot mapping",
-        graphs_mapped,
-    );
-    gauge(
-        "lazymc_mapped_bytes",
-        "Bytes of snapshot files currently mapped (page-cache-backed, not daemon heap)",
-        mapped_bytes,
-    );
-    gauge(
-        "lazymc_snapshots_on_disk",
-        "Snapshot files indexed in the data dir",
-        store.map_or(0, |s| s.len()) as u64,
-    );
-    gauge(
-        "lazymc_snapshot_disk_bytes",
-        "Total bytes of indexed snapshots",
-        store.map_or(0, |s| s.total_bytes()),
-    );
-    gauge(
-        "lazymc_uptime_seconds",
-        "Seconds since the daemon started",
-        state.started.elapsed().as_secs(),
-    );
-    gauge(
-        "lazymc_degraded",
-        "1 when any component is degraded (reasons in /healthz)",
-        u64::from(state.health.is_degraded()),
-    );
-    gauge(
-        "lazymc_journal_pending",
-        "Admitted-but-not-completed jobs tracked by the journal",
-        jrnl.map_or(0, |j| j.pending_len()) as u64,
-    );
-    gauge(
-        "lazymc_draining",
-        "1 while the daemon is draining (listener closed, /readyz answers 503)",
-        u64::from(state.is_draining()),
-    );
-    gauge(
-        "lazymc_overload_shedding",
-        "1 while the queue-delay controller is shedding lowest-priority admissions",
-        u64::from(state.shedder.is_shedding()),
-    );
-    gauge(
-        "lazymc_retry_after_seconds",
-        "Retry-After the daemon would attach to a backpressure response right now",
-        state.drain_rate.retry_after(state.queue.depth()),
-    );
-    gauge(
-        "lazymc_mem_live_bytes",
-        "Live heap bytes per the counting allocator (0 when untracked)",
-        state.mem.live_bytes(),
-    );
-    gauge(
-        "lazymc_mem_soft_limit_bytes",
-        "Soft memory watermark (80% of --max-memory-bytes; 0 when unset)",
-        state.mem.soft_bytes().unwrap_or(0),
-    );
-    gauge(
-        "lazymc_mem_hard_limit_bytes",
-        "Hard memory watermark (--max-memory-bytes; 0 when unset)",
-        state.mem.hard_bytes().unwrap_or(0),
-    );
-    gauge(
-        "lazymc_mem_tracked",
-        "1 when this process routes allocations through the counting allocator",
-        u64::from(state.mem.tracked()),
-    );
-    gauge(
-        "lazymc_sched_workers",
-        "Worker threads in the machine-wide scheduler pool",
-        sched_metrics.workers.len() as u64,
-    );
-    // Per-worker scheduler series (labeled, so hand-rendered): cumulative
-    // busy seconds and the per-scrape-window thread-efficiency gauge.
-    let busy_ns: Vec<u64> = sched_metrics.workers.iter().map(|w| w.busy_ns).collect();
-    let efficiency = state.obs.sched_window.efficiency(&busy_ns);
-    out.push_str(
-        "# HELP lazymc_sched_busy_seconds_total Seconds each scheduler worker spent executing task bodies\n\
-         # TYPE lazymc_sched_busy_seconds_total counter\n",
-    );
-    for (i, b) in busy_ns.iter().enumerate() {
-        out.push_str(&format!(
-            "lazymc_sched_busy_seconds_total{{worker=\"{i}\"}} {:.6}\n",
-            *b as f64 / 1e9
-        ));
-    }
-    out.push_str(
-        "# HELP lazymc_sched_thread_efficiency Busy fraction of each scheduler worker over the last scrape window\n\
-         # TYPE lazymc_sched_thread_efficiency gauge\n",
-    );
-    for (i, e) in efficiency.iter().enumerate() {
-        out.push_str(&format!(
-            "lazymc_sched_thread_efficiency{{worker=\"{i}\"}} {e:.6}\n"
-        ));
-    }
-    out.push_str(&format!(
-        "# HELP lazymc_drain_rate_per_sec Observed job completions per second (10s window)\n\
-         # TYPE lazymc_drain_rate_per_sec gauge\n\
-         lazymc_drain_rate_per_sec {:.3}\n",
-        state.drain_rate.per_sec()
-    ));
-    out.push_str(
-        "# HELP lazymc_queue_depth_by_priority Pending solve jobs per priority level\n\
-         # TYPE lazymc_queue_depth_by_priority gauge\n",
-    );
-    for (p, n) in state.queue.depth_by_priority() {
-        out.push_str(&format!(
-            "lazymc_queue_depth_by_priority{{priority=\"{p}\"}} {n}\n"
-        ));
-    }
-    // Build identity as the conventional constant-1 info gauge.
-    out.push_str("# HELP lazymc_build_info Build identity of the running daemon\n");
-    out.push_str("# TYPE lazymc_build_info gauge\n");
-    out.push_str(&format!(
-        "lazymc_build_info{{version=\"{}\",git_sha=\"{}\"}} 1\n",
-        env!("CARGO_PKG_VERSION"),
-        option_env!("LAZYMC_GIT_SHA").unwrap_or("unknown"),
-    ));
-    // Latency histograms (HTTP per route, queue wait, solve wall,
-    // per-phase solve): proper Prometheus histogram families.
-    state.obs.render_prometheus(&mut out);
-    Response::text(200, "text/plain; version=0.0.4", out)
+/// The server-side budget cap as JSON (`null` when unset).
+fn max_budget_json(cfg: &ServiceConfig) -> Json {
+    cfg.max_budget_ms
+        .map_or(Json::Null, |ms| Json::num(ms as f64))
 }

@@ -159,10 +159,19 @@ fn corrupted_snapshot_is_quarantined_not_fatal() {
 
 /// LRU eviction with a data dir only frees memory: the victim lazily
 /// reloads on its next query (registry-level mid-flight safety is covered
-/// by registry unit tests), and DELETE unlinks the snapshot for real.
+/// by registry unit tests), answers cached solves again, and DELETE
+/// unlinks the snapshot for real. Runs with the default heap reload and
+/// with the reload mapped (`mmap_threshold_bytes` 0 once the uploads are
+/// in: mapped entries do not count against capacity, so an upload mapped
+/// at 0 would never be evicted).
 #[test]
 fn eviction_reloads_lazily_but_delete_unlinks() {
-    let dir = tmp_dir("evict");
+    eviction_reloads("evict_heap", false);
+    eviction_reloads("evict_mmap", true);
+}
+
+fn eviction_reloads(tag: &str, map_reload: bool) {
+    let dir = tmp_dir(tag);
     let handle = start(&dir, 2);
     let mut c = Client::connect(handle.addr());
 
@@ -172,20 +181,47 @@ fn eviction_reloads_lazily_but_delete_unlinks() {
     let omega = u64_field(&first, "omega");
     upload(&mut c, "b", &gen::complete(6));
     upload(&mut c, "c", &gen::complete(7)); // evicts "a" (LRU)
-    assert!(c.metric("lazymc_graphs_evicted_total") >= 1);
+    assert!(c.metric("lazymc_graphs_evicted_total") >= 1, "{tag}");
     assert_eq!(
         c.metric("lazymc_snapshots_on_disk"),
         3,
         "eviction keeps the snapshot"
     );
 
+    if map_reload {
+        handle.state().registry.set_mmap_threshold(0);
+    }
+
     // The evicted graph answers again via lazy reload — same omega, no
     // re-upload, no re-core (3 uploads = 3 core computes, no more).
     let (status, resolved) = c.post_json("/solve", r#"{"graph":"a","no_cache":true}"#);
     assert_eq!(status, 200, "{resolved:?}");
     assert_eq!(u64_field(&resolved, "omega"), omega);
-    assert_eq!(c.metric("lazymc_snapshot_lazy_loads_total"), 1);
+    // One reload, counted by the path it took (heap decode or mapping).
+    assert_eq!(
+        c.metric("lazymc_snapshot_lazy_loads_total"),
+        u64::from(!map_reload),
+        "{tag}"
+    );
+    assert_eq!(
+        c.metric("lazymc_snapshot_mmap_total"),
+        u64::from(map_reload),
+        "{tag}"
+    );
     assert_eq!(c.metric("lazymc_core_computes_total"), 3);
+
+    // The reloaded graph keeps the fingerprint its first answer was
+    // cached under, so a cache-allowed solve is a hit with a valid witness.
+    let (status, cached) = c.post_json("/solve", r#"{"graph":"a"}"#);
+    assert_eq!(status, 200, "{cached:?}");
+    assert!(bool_field(&cached, "cached"), "{tag}: {cached:?}");
+    assert_eq!(u64_field(&cached, "omega"), omega);
+    let Some(Json::Arr(witness)) = cached.get("clique") else {
+        panic!("{tag}: no witness in {cached:?}");
+    };
+    let witness: Vec<u32> = witness.iter().map(|v| v.as_u64().unwrap() as u32).collect();
+    assert_eq!(witness.len() as u64, omega);
+    assert!(g.is_clique(&witness), "{tag}: cached witness {witness:?}");
 
     // DELETE = forget durably: memory, disk, and no lazy resurrection.
     let (status, _, _) = c.request("DELETE", "/graphs/a", None);

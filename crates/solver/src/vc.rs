@@ -527,11 +527,10 @@ fn vc_sched_unit(
         }
     }
     if !abort.triggered() {
-        let t = {
+        let (t, room) = {
             let mut g = arena.lock().unwrap();
-            std::mem::take(&mut g.tasks[i])
+            (std::mem::take(&mut g.tasks[i]), g.live < VC_SCHED_MAX_TASKS)
         };
-        let room = arena.lock().unwrap().live < VC_SCHED_MAX_TASKS;
         if t.alive.len() >= SPLIT_MIN_VERTICES && room && sc.idle_workers() > 0 {
             resplit_vc_task(adj, arena, &t, abort, winner, sc, &mut stats, run.live);
         } else {
