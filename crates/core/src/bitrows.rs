@@ -33,7 +33,7 @@ use lazymc_solver::bitset::BitMatrix;
 pub(crate) const MAX_RETAINED_ARENA_BYTES: usize = 8 << 20;
 
 /// Widest id window (last − first candidate id + 1) the map may cover:
-/// 4 MiB of `u32` slots, half the retained-arena budget.
+/// 2 MiB of `u16` slots, a quarter of the retained-arena budget.
 const MAX_MAP_SPAN: usize = 1 << 20;
 
 /// Largest candidate set given rows: a 2 MiB matrix, a quarter of the
@@ -83,16 +83,18 @@ pub(crate) fn heuristic_rows_pay(cand: &[VertexId]) -> bool {
 
 /// The direct-address map behind [`RowBuilder::build`]: slot `w − first`
 /// holds `1 + local index` of member `w`, and 0 everywhere else between
-/// builds.
+/// builds. A set has at most [`MAX_ROWS`] members, so a slot fits a `u16`.
 #[derive(Default)]
 pub(crate) struct RowBuilder {
-    slot: Vec<u32>,
+    slot: Vec<u16>,
 }
+
+const _: () = assert!(MAX_ROWS <= u16::MAX as usize);
 
 impl RowBuilder {
     /// Heap bytes retained (pool retention bound).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.slot.capacity() * 4
+        self.slot.capacity() * 2
     }
 
     /// Writes into `rows` the adjacency of the sorted, distinct `members`
@@ -114,12 +116,12 @@ impl RowBuilder {
             return;
         };
         let span = (last - first) as usize + 1;
-        debug_assert!(span <= MAX_MAP_SPAN);
+        debug_assert!(span <= MAX_MAP_SPAN && nn <= MAX_ROWS);
         if self.slot.len() < span {
             self.slot.resize(span, 0);
         }
         for (i, &u) in members.iter().enumerate() {
-            self.slot[(u - first) as usize] = i as u32 + 1;
+            self.slot[(u - first) as usize] = i as u16 + 1;
         }
         for (i, &u) in members.iter().enumerate() {
             // Only the upper triangle: neighbours in (u, last].

@@ -124,8 +124,9 @@ impl Deadline {
     }
 
     /// Expires the deadline immediately, whatever its budget. Safe to call
-    /// from any thread while a solve is running against it: the solve
-    /// finishes its current neighbourhood search, then truncates.
+    /// from any thread while a solve is running against it: the solve's
+    /// subgraph search stops within a few thousand nodes, then the solve
+    /// truncates.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }
@@ -461,9 +462,10 @@ fn neighbor_search_scratch(
     let lb = cstar.saturating_sub(1);
     // Intra-solve thread budget: above 1 the engines may split their top
     // branch levels into subtree tasks on the pool, against a shared
-    // incumbent. Split solves poll `stop` once per claimed subtree task,
-    // so a deadline trip or cancellation drains every stolen subtree of
-    // the job wherever it is executing. Width 1 binds no pool at all.
+    // incumbent. Width 1 binds no pool at all. Every engine kernel polls
+    // `stop` every few thousand nodes (split ones also per claimed
+    // subtree task), so a deadline trip or cancellation ends even one
+    // long search, on every stolen subtree of the job wherever it runs.
     let handle = (solver_threads > 1).then(|| sched.handle());
     let split = handle.as_ref().map(|h| Split {
         sched: h,

@@ -689,8 +689,8 @@ fn housekeeper(state: &Arc<ServiceState>, shutdown: &AtomicBool, scrub_interval:
 /// One memory-watermark tick. Soft: flag `/healthz` degraded (uploads are
 /// rejected at their endpoint). Hard: additionally cancel the
 /// lowest-priority running solve through the normal abort machinery — it
-/// finishes its current neighbourhood, reports truncated, and frees its
-/// working set.
+/// stops within a few thousand search nodes, reports truncated, and frees
+/// its working set.
 fn enforce_memory(state: &ServiceState) {
     if !state.mem.enforced() {
         return;

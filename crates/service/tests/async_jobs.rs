@@ -178,8 +178,9 @@ fn cancel_mid_solve_interrupts_via_the_deadline() {
     assert_eq!(status, 200, "{response:?}");
     assert_eq!(str_field(&response, "was"), "running");
 
-    // The deadline trip stops the solve at its next neighbourhood poll —
-    // far sooner than the full search would take.
+    // The deadline trip stops the solve at its next poll (before each
+    // neighbourhood and every 4,096 search nodes) — far sooner than the
+    // full search would take.
     let view = poll_job(&mut c, id, Duration::from_secs(30), |s| s == "cancelled");
     let interrupted_after = cancelled_at.elapsed();
     let result = view

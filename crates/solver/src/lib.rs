@@ -16,8 +16,9 @@
 //! 50% (paper §III-D). The same engines back the dOmega-like baseline.
 //!
 //! Each engine has one entry, and each entry takes a [`Run`]: a
-//! [`LiveNodes`] sink for mid-search progress, a stop hook, and an
-//! optional [`Split`] binding to a [`lazymc_sched`] pool. The entry picks
+//! [`LiveNodes`] sink for mid-search progress, a stop hook that every
+//! kernel polls every [`live::SAMPLE_INTERVAL`] nodes, and an optional
+//! [`Split`] binding to a [`lazymc_sched`] pool. The entry picks
 //! its own driver: the deterministic sequential kernel when there is no
 //! binding, its width is at most 1, or the input has fewer than 32
 //! vertices; otherwise the top branch levels become subtree tasks on the
@@ -65,6 +66,7 @@ pub(crate) mod test_util {
     use lazymc_sched::{Pool, SchedHandle};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::OnceLock;
 
     thread_local! {
@@ -110,6 +112,12 @@ pub(crate) mod test_util {
         let within = Bitset::full(m.len());
         crate::max_clique_dense(m, &within, 0, crate::Run::default(), None, &mut out);
         out
+    }
+
+    /// A stop hook that answers `true` from its `n`-th poll on.
+    pub(crate) fn stop_at(n: usize) -> impl Fn() -> bool + Sync {
+        let polls = AtomicUsize::new(0);
+        move || polls.fetch_add(1, Ordering::Relaxed) + 1 >= n
     }
 
     /// One 4-worker scheduler pool shared by every in-crate test, as the

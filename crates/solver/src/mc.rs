@@ -23,7 +23,6 @@
 
 use crate::bitset::{BitMatrix, Bitset};
 use crate::coloring::{color_order_scratch, ColorScratch};
-use crate::live::LiveNodes;
 use crate::par::{Run, SharedBest, SPLIT_MIN_VERTICES};
 use crate::scratch::{Pool, MAX_RETAINED_BYTES};
 use lazymc_sched::Scope;
@@ -34,10 +33,10 @@ use std::sync::Mutex;
 pub struct McStats {
     /// Branch-and-bound tree nodes expanded.
     pub nodes: u64,
-    /// Of `nodes`, how many were already flushed into a [`LiveNodes`]
-    /// sink mid-search. Callers that accumulate `nodes` into the same
-    /// sink after the call must add only `nodes - sampled` to keep the
-    /// total exact.
+    /// Of `nodes`, how many were already flushed into a
+    /// [`LiveNodes`](crate::LiveNodes) sink mid-search. Callers that
+    /// accumulate `nodes` into the same sink after the call must add only
+    /// `nodes - sampled` to keep the total exact.
     pub sampled: u64,
     /// Subtree tasks generated by the parallel work-splitting driver
     /// (0 for a sequential solve).
@@ -150,23 +149,28 @@ struct Searcher<'a, L: IncumbentLink> {
     adj: &'a BitMatrix,
     best: usize,
     found: bool,
+    /// Set when `run.stop` fired at one of this searcher's polls.
+    halted: bool,
     stats: McStats,
     scratch: &'a mut McScratch,
     link: L,
-    live: LiveNodes<'a>,
+    run: Run<'a>,
 }
 
 impl<L: IncumbentLink> Searcher<'_, L> {
     /// Expands the node whose candidate set the caller placed in
     /// `scratch.depths[depth].cand`.
     fn expand(&mut self, depth: usize) {
-        if self.link.halted() {
+        if self.halted || self.link.halted() {
             // Cancelled / deadline-tripped solve: unwind without counting
-            // the node. Dead code for `NoLink` (constant false).
+            // the node; the best clique so far stays valid.
             return;
         }
         self.stats.nodes += 1;
-        self.live.tick(self.stats.nodes, &mut self.stats.sampled);
+        if self.run.pulse(self.stats.nodes, &mut self.stats.sampled) {
+            self.halted = true;
+            return;
+        }
         // An improvement found on any other worker shrinks this subtree:
         // refresh the bound before coloring (one relaxed load per node).
         let shared = self.link.read();
@@ -222,17 +226,18 @@ impl<L: IncumbentLink> Searcher<'_, L> {
 /// kernel with [`NoLink`], the body of a split worker with [`SharedLink`]
 /// (which bounds against the shared incumbent before coloring every node
 /// and publishes improvements the instant they are found). Returns
-/// whether a clique was found, left in `scratch.best_clique`, and the
-/// run's statistics. Allocation-free on a warm arena.
+/// whether a clique was found, left in `scratch.best_clique`, the run's
+/// statistics, and whether `run.stop` halted it (the clique is then the
+/// best one found before the halt). Allocation-free on a warm arena.
 fn search<L: IncumbentLink>(
     adj: &BitMatrix,
     cand: &Bitset,
     prefix: &[u32],
     floor: usize,
     link: L,
-    live: LiveNodes<'_>,
+    run: Run<'_>,
     scratch: &mut McScratch,
-) -> (bool, McStats) {
+) -> (bool, McStats, bool) {
     if scratch.depths.is_empty() {
         scratch.depths.push(DepthScratch::default());
     }
@@ -244,13 +249,14 @@ fn search<L: IncumbentLink>(
         adj,
         best: floor,
         found: false,
+        halted: false,
         stats: McStats::default(),
         scratch,
         link,
-        live,
+        run,
     };
     s.expand(0);
-    (s.found, s.stats)
+    (s.found, s.stats, s.halted)
 }
 
 // ---------------------------------------------------------------------------
@@ -426,10 +432,14 @@ struct McArena {
 /// solve turns its top branch levels into claimable scope units that any
 /// idle pool worker — including workers of *other* solves between their
 /// own claims — executes against this solve's [`SharedBest`]. Units
-/// re-split one level deeper when the pool reports idle capacity, and
-/// `run.stop` halts every stolen subtree mid-search via the shared
-/// incumbent's halt flag. Node counts of a split solve depend on
-/// scheduling; the *result* does not.
+/// re-split one level deeper when the pool reports idle capacity. Node
+/// counts of a split solve depend on scheduling; the *result* does not.
+///
+/// Every kernel polls `run.stop` every
+/// [`SAMPLE_INTERVAL`](crate::live::SAMPLE_INTERVAL) nodes; a hit halts
+/// the search (a split solve's every stolen subtree too, via the shared
+/// incumbent's halt flag), and the witness is the best clique above `lb`
+/// found before it.
 pub fn max_clique_dense(
     adj: &BitMatrix,
     within: &Bitset,
@@ -444,11 +454,11 @@ pub fn max_clique_dense(
     }
     let Some(split) = run.split_for(within.len()) else {
         let (found, local) = MC_WORKER.with(|scr| {
-            let r = search(adj, within, &[], lb, NoLink, run.live, scr);
-            if r.0 {
+            let (found, stats, _) = search(adj, within, &[], lb, NoLink, run, scr);
+            if found {
                 out.extend_from_slice(&scr.best_clique);
             }
-            r
+            (found, stats)
         });
         if let Some(s) = stats {
             s.merge(&local);
@@ -517,18 +527,12 @@ fn mc_sched_unit(
             } else {
                 let prefix = &t.prefix[..t.plen as usize];
                 let floor = shared.size();
-                let (_, local) = MC_WORKER.with(|scr| {
-                    search(
-                        adj,
-                        &t.cand,
-                        prefix,
-                        floor,
-                        SharedLink(shared),
-                        run.live,
-                        scr,
-                    )
-                });
+                let (_, local, halted) = MC_WORKER
+                    .with(|scr| search(adj, &t.cand, prefix, floor, SharedLink(shared), run, scr));
                 stats.merge(&local);
+                if halted {
+                    shared.halt();
+                }
             }
         }
         // Return the slot (and its warm buffers) for later solves.
@@ -619,7 +623,10 @@ pub fn reduce_candidates(adj: &BitMatrix, within: &mut Bitset, lb: usize) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{exact_clique, pseudo_graph as pseudo_dense, test_pool, thread_allocs};
+    use crate::live::SAMPLE_INTERVAL;
+    use crate::test_util::{
+        exact_clique, pseudo_graph as pseudo_dense, stop_at, test_pool, thread_allocs,
+    };
 
     fn from_edges(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
         let mut m = BitMatrix::new(n);
@@ -734,7 +741,7 @@ mod tests {
         ];
         for (m, omega) in &graphs {
             let within = Bitset::full(m.len());
-            let (found, _) = search(m, &within, &[], 0, NoLink, LiveNodes::NONE, &mut scratch);
+            let (found, ..) = search(m, &within, &[], 0, NoLink, Run::default(), &mut scratch);
             assert!(found);
             assert_eq!(scratch.best_clique.len(), *omega);
             assert!(m.is_clique(&scratch.best_clique));
@@ -742,7 +749,7 @@ mod tests {
         // lb suppression finds nothing
         let (m, _) = &graphs[0];
         let within = Bitset::full(m.len());
-        let (found, _) = search(m, &within, &[], 4, NoLink, LiveNodes::NONE, &mut scratch);
+        let (found, ..) = search(m, &within, &[], 4, NoLink, Run::default(), &mut scratch);
         assert!(!found);
     }
 
@@ -825,7 +832,7 @@ mod tests {
             &[],
             0,
             SharedLink(&shared),
-            LiveNodes::NONE,
+            Run::default(),
             &mut scratch,
         );
         assert_eq!(shared.size(), omega);
@@ -849,7 +856,7 @@ mod tests {
         let run = |shared: &SharedBest, scratch: &mut McScratch| {
             let floor = shared.size();
             let link = SharedLink(shared);
-            search(&adj, &cand, &[], floor, link, LiveNodes::NONE, scratch);
+            search(&adj, &cand, &[], floor, link, Run::default(), scratch);
         };
 
         // Warm-up: grows the arena and establishes ω in a first incumbent.
@@ -901,5 +908,43 @@ mod tests {
         let mut within = Bitset::full(4);
         assert_eq!(reduce_candidates(&p, &mut within, 2), 4);
         assert!(within.is_empty());
+    }
+
+    #[test]
+    fn stop_halts_the_search_within_its_polls() {
+        // A search of 356k nodes.
+        let m = pseudo_dense(150, 800, 9);
+        const POLLS: u64 = 3;
+        let pool = test_pool();
+        for width in [1, 2] {
+            let stop = stop_at(POLLS as usize);
+            let run = Run {
+                stop: Some(&stop),
+                split: Some(crate::Split {
+                    sched: &pool,
+                    meta: lazymc_sched::TaskMeta::adhoc(),
+                    width,
+                }),
+                ..Run::default()
+            };
+            let mut st = McStats::default();
+            let mut out = Vec::new();
+            let found = max_clique_dense(&m, &Bitset::full(150), 2, run, Some(&mut st), &mut out);
+            // The best clique found before the halt is kept.
+            assert_eq!(found, !out.is_empty(), "width {width}");
+            assert!(out.is_empty() || (out.len() > 2 && m.is_clique(&out)));
+            if width == 1 {
+                assert!(found, "12k nodes reach many leaves");
+                assert_eq!(st.nodes, POLLS * SAMPLE_INTERVAL);
+            } else {
+                // Every claim polls too; task generation adds a few
+                // unpolled nodes.
+                assert!(
+                    st.nodes <= POLLS * SAMPLE_INTERVAL + 64,
+                    "{} nodes",
+                    st.nodes
+                );
+            }
+        }
     }
 }

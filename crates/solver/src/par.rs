@@ -22,15 +22,16 @@
 //! `lazymc_sched` scope, and the sequential kernels stay byte-identical
 //! via zero-sized link types that monomorphize the sharing away.
 
-use crate::live::LiveNodes;
+use crate::live::{LiveNodes, SAMPLE_INTERVAL};
 use lazymc_sched::{SchedHandle, TaskMeta};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Cooperative stop hook of a scheduler-run solve: polled once per
-/// claimed subtree task, `true` means "halt the whole solve" (deadline
-/// trip or cancellation). Kept as a plain closure so the solver never
-/// learns the driver's deadline type.
+/// Cooperative stop hook of an engine call: polled every
+/// [`SAMPLE_INTERVAL`] nodes by every kernel, sequential or split, and
+/// once per claimed subtree task; `true` means "halt the whole solve"
+/// (deadline trip or cancellation). Kept as a plain closure so the solver
+/// never learns the driver's deadline type.
 pub type StopFn<'a> = &'a (dyn Fn() -> bool + Sync);
 
 /// Below this many vertices a solve is not worth splitting: the subtree
@@ -52,15 +53,18 @@ pub struct Split<'a> {
 /// sequential kernel with no observer.
 ///
 /// An entry runs the sequential kernel — deterministic node counts, no
-/// pool touched, `stop` never polled — when `split` is `None`, its width
-/// is at most 1, or the input has fewer than 32 vertices. Otherwise it
-/// splits its top branch levels into subtree tasks on `split.sched`.
+/// pool touched — when `split` is `None`, its width is at most 1, or the
+/// input has fewer than 32 vertices. Otherwise it splits its top branch
+/// levels into subtree tasks on `split.sched`. Either way `stop` is
+/// polled every [`SAMPLE_INTERVAL`] nodes, so a deadline or cancellation
+/// halts even one long search within a few thousand nodes.
 #[derive(Clone, Copy, Default)]
 pub struct Run<'a> {
     /// Receives the node count every few thousand expansions.
     pub live: LiveNodes<'a>,
-    /// Polled once per claimed subtree task of a split solve; `true`
-    /// halts every task of the solve (deadline trip or cancellation).
+    /// Polled every [`SAMPLE_INTERVAL`] nodes and once per claimed
+    /// subtree task; `true` halts the solve (deadline trip or
+    /// cancellation).
     pub stop: Option<StopFn<'a>>,
     /// Where the solve may split.
     pub split: Option<Split<'a>>,
@@ -72,6 +76,16 @@ impl<'a> Run<'a> {
     pub(crate) fn split_for(&self, n: usize) -> Option<Split<'a>> {
         self.split
             .filter(|s| s.width > 1 && n >= SPLIT_MIN_VERTICES)
+    }
+
+    /// The per-node hook of every kernel, called with its running node
+    /// count: every [`SAMPLE_INTERVAL`] nodes it flushes a batch into
+    /// `live` and polls `stop`. Returns whether the search must halt.
+    /// Node counts do not depend on it while `stop` answers `false`.
+    #[inline]
+    pub(crate) fn pulse(&self, nodes: u64, sampled: &mut u64) -> bool {
+        self.live.tick(nodes, sampled);
+        nodes.is_multiple_of(SAMPLE_INTERVAL) && self.stop.is_some_and(|stop| stop())
     }
 }
 

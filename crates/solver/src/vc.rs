@@ -17,16 +17,27 @@
 //! [`max_clique_via_vc`] runs the clique-via-VC pipeline over it. Like the
 //! MC engine, a decision runs the sequential kernel unless its [`Run`]
 //! splits, and then its top branch levels become subtree tasks on the
-//! scheduler pool under one abort flag ([`SearchAbort`]).
+//! scheduler pool under one abort flag ([`SearchAbort`]). Every kernel
+//! polls `run.stop` every [`SAMPLE_INTERVAL`](crate::live::SAMPLE_INTERVAL)
+//! nodes, so a deadline or cancellation ends a decision with `stopped`.
 //!
-//! The search keeps all per-depth state (the alive set of every branch
+//! The search runs on two kernels over the same rules. The wide kernel
+//! works on [`BitMatrix`] rows, sized for the matrix the decision started
+//! on, and keeps its per-depth state (the alive set of every branch
 //! level, the row/seen scratch of the kernelization and path/cycle
-//! solvers) in pooled arenas, and the pipeline keeps its complement
-//! matrix and bound buffers in a pool of its own — zero steady-state heap
-//! allocation per node.
+//! solvers) in pooled arenas. Once a node has at most 64 live vertices
+//! (99.6% of paley-401's nodes), it gathers them into a stack-held
+//! `[u64; 64]` row array with an ascending local→matrix index map, and the
+//! word kernel finishes the subtree on `u64` masks: a degree is
+//! `popcount(rows[v] & alive)`, the two branches are `alive & !bit(v)` and
+//! `alive & !(rows[v] | bit(v))`, and nothing is copied between depths.
+//! The map keeps the matrix order, so both kernels make the same picks,
+//! reductions and cover pushes in the same order: covers and [`VcStats`]
+//! do not depend on where the switch happens. The pipeline keeps its
+//! complement matrix and bound buffers in a pool of its own — zero
+//! steady-state heap allocation per node on either kernel.
 
 use crate::bitset::{BitMatrix, Bitset};
-use crate::live::LiveNodes;
 use crate::par::{Run, SearchAbort, SPLIT_MIN_VERTICES};
 use crate::scratch::{Pool, MAX_RETAINED_BYTES};
 use lazymc_sched::Scope;
@@ -38,8 +49,9 @@ use std::sync::Mutex;
 pub struct VcStats {
     /// Branch-and-bound tree nodes expanded.
     pub nodes: u64,
-    /// Of `nodes`, how many were already flushed into a [`LiveNodes`]
-    /// sink mid-search (see `McStats::sampled`).
+    /// Of `nodes`, how many were already flushed into a
+    /// [`LiveNodes`](crate::LiveNodes) sink mid-search (see
+    /// `McStats::sampled`).
     pub sampled: u64,
     /// Vertices removed (or forced into the cover) by the kernelization
     /// rules — Buss, degree-0/1 and the non-merging degree-2 case.
@@ -172,6 +184,19 @@ pub fn max_clique_via_vc(
     stats: Option<&mut VcStats>,
     out: &mut Vec<u32>,
 ) -> bool {
+    clique_via_vc(adj, lb, run, WORD_CUTOFF, stats, out)
+}
+
+/// [`max_clique_via_vc`] whose sequential decisions move to the word
+/// kernel at `word_cutoff` live vertices.
+fn clique_via_vc(
+    adj: &BitMatrix,
+    lb: usize,
+    run: Run<'_>,
+    word_cutoff: usize,
+    stats: Option<&mut VcStats>,
+    out: &mut Vec<u32>,
+) -> bool {
     out.clear();
     let n = adj.len();
     if n == 0 || n <= lb {
@@ -191,7 +216,7 @@ pub fn max_clique_via_vc(
             in_cover,
         } = p;
         let mut decide = |k: usize, cover: &mut Vec<u32>| {
-            vertex_cover_decision(comp, full, k, run, Some(&mut local), cover)
+            decision(comp, full, k, run, word_cutoff, Some(&mut local), cover)
         };
         // ω > lb ⟺ minVC(complement) <= n - lb - 1.
         let first = decide(n - lb - 1, cover);
@@ -399,8 +424,8 @@ struct VcArena {
 const VC_SCHED_MAX_TASKS: usize = 4096;
 
 /// Outcome of one k-VC decision. `found = false` with `stopped = true` is
-/// *not* authoritative — the solve was halted by its deadline or
-/// cancellation mid-search. The sequential kernel never stops.
+/// *not* authoritative — `run.stop` halted the search mid-way (deadline
+/// trip or cancellation), on the sequential kernel as on a split one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Decision {
     pub found: bool,
@@ -416,8 +441,10 @@ pub struct Decision {
 /// that any idle pool worker executes under this decision's
 /// [`SearchAbort`]: the first cover found wins and every other subtree
 /// terminates at its next node. Units re-split deeper when the pool
-/// reports idle capacity, and `run.stop` trips the abort, so a deadline
-/// or cancellation ends the decision with `stopped` set.
+/// reports idle capacity. Every kernel polls `run.stop` every
+/// [`SAMPLE_INTERVAL`](crate::live::SAMPLE_INTERVAL) nodes (a split one
+/// also at each claim, and a hit trips the abort), so a deadline or
+/// cancellation ends the decision with `stopped` set.
 pub fn vertex_cover_decision(
     adj: &BitMatrix,
     alive: &Bitset,
@@ -426,19 +453,34 @@ pub fn vertex_cover_decision(
     stats: Option<&mut VcStats>,
     out: &mut Vec<u32>,
 ) -> Decision {
+    decision(adj, alive, k, run, WORD_CUTOFF, stats, out)
+}
+
+/// [`vertex_cover_decision`] whose sequential kernel moves to the word
+/// kernel at `word_cutoff` live vertices (split workers use
+/// [`WORD_CUTOFF`]).
+fn decision(
+    adj: &BitMatrix,
+    alive: &Bitset,
+    k: usize,
+    run: Run<'_>,
+    word_cutoff: usize,
+    stats: Option<&mut VcStats>,
+    out: &mut Vec<u32>,
+) -> Decision {
     out.clear();
     let Some(split) = run.split_for(alive.len()) else {
-        let (found, local) = VC_WORKER.with(|w| {
-            let mut solver = VcSolver::new(adj, &mut w.search, NoAbort, run.live);
-            (solver.decide(alive, k, out), solver.stats)
+        let (decision, local) = VC_WORKER.with(|w| {
+            let mut solver = VcSolver::new(adj, &mut w.search, NoAbort, run);
+            solver.word_cutoff = word_cutoff;
+            let found = solver.decide(alive, k, out);
+            let stopped = solver.halted;
+            (Decision { found, stopped }, solver.stats)
         });
         if let Some(s) = stats {
             s.merge(&local);
         }
-        return Decision {
-            found,
-            stopped: false,
-        };
+        return decision;
     };
     let mut local = VcStats::default();
     let mut scr = VC_SPLIT.take();
@@ -454,7 +496,7 @@ pub fn vertex_cover_decision(
         } = &mut *scr;
         picks.clear();
         levels[0].copy_from(alive);
-        let mut solver = VcSolver::new(adj, gen, NoAbort, run.live);
+        let mut solver = VcSolver::new(adj, gen, NoAbort, run);
         let mut tsink = VcGen {
             tasks,
             live: 0,
@@ -503,7 +545,8 @@ pub fn vertex_cover_decision(
 
 /// One scheduler scope unit of a decision: claims arena slot `i`,
 /// re-splits it deeper when the pool has idle workers, otherwise runs
-/// the abortable kernel on it.
+/// the abortable kernel on it. A `run.stop` hit, at the claim or inside
+/// the kernel, sets `stopped` and trips the abort.
 #[allow(clippy::too_many_arguments)]
 fn vc_sched_unit(
     adj: &BitMatrix,
@@ -532,15 +575,18 @@ fn vc_sched_unit(
             (std::mem::take(&mut g.tasks[i]), g.live < VC_SCHED_MAX_TASKS)
         };
         if t.alive.len() >= SPLIT_MIN_VERTICES && room && sc.idle_workers() > 0 {
-            resplit_vc_task(adj, arena, &t, abort, winner, sc, &mut stats, run.live);
+            resplit_vc_task(adj, arena, &t, abort, winner, sc, &mut stats, run);
         } else {
             let mut w = VC_WORKER.take();
             let VcWorkerScratch { search, cover } = &mut *w;
-            let mut solver = VcSolver::new(adj, search, SharedAbort(abort), run.live);
+            let mut solver = VcSolver::new(adj, search, SharedAbort(abort), run);
             let ok = solver.decide(&t.alive, t.k as usize, cover);
             stats.merge(&solver.stats);
             if ok {
                 publish_vc_winner(winner, &t.picks, cover, abort, &mut stats);
+            } else if solver.halted {
+                stopped.store(true, Ordering::Relaxed);
+                abort.trigger();
             }
             VC_WORKER.put(w);
         }
@@ -584,7 +630,7 @@ fn resplit_vc_task(
     winner: &Mutex<Option<Vec<u32>>>,
     sc: &Scope<'_>,
     stats: &mut VcStats,
-    live: LiveNodes<'_>,
+    run: Run<'_>,
 ) {
     let mut split = VC_SPLIT.take();
     let mut w = VC_WORKER.take();
@@ -601,7 +647,7 @@ fn resplit_vc_task(
         picks.clear();
         picks.extend_from_slice(&t.picks);
         levels[0].copy_from(&t.alive);
-        let mut solver = VcSolver::new(adj, gen, NoAbort, live);
+        let mut solver = VcSolver::new(adj, gen, NoAbort, run);
         let mut g = arena.lock().unwrap();
         let a = &mut *g;
         let live0 = a.live;
@@ -711,27 +757,36 @@ struct VcSolver<'a, A: AbortLink> {
     stats: VcStats,
     scratch: &'a mut VcScratch,
     abort: A,
-    live: LiveNodes<'a>,
+    run: Run<'a>,
+    /// Set when `run.stop` fired at one of this solver's polls; the
+    /// search then unwinds like an aborted split worker.
+    halted: bool,
+    /// Nodes with at most this many live vertices finish on the word
+    /// kernel: [`WORD_CUTOFF`], or 0 in tests that pin the wide kernel.
+    word_cutoff: usize,
 }
 
 /// Outcome of a kernelization fixpoint.
 struct Kernelized {
     /// Undirected edges remaining.
     m: usize,
-    /// A maximum-degree alive vertex (valid when `m > 0`).
+    /// The first alive vertex of maximum degree (valid when `m > 0`): a
+    /// matrix index on the wide kernel, a local one on the word kernel.
     max_v: usize,
     /// Its degree.
     max_d: usize,
 }
 
 impl<'a, A: AbortLink> VcSolver<'a, A> {
-    fn new(adj: &'a BitMatrix, scratch: &'a mut VcScratch, abort: A, live: LiveNodes<'a>) -> Self {
+    fn new(adj: &'a BitMatrix, scratch: &'a mut VcScratch, abort: A, run: Run<'a>) -> Self {
         VcSolver {
             adj,
             stats: VcStats::default(),
             scratch,
             abort,
-            live,
+            run,
+            halted: false,
+            word_cutoff: WORD_CUTOFF,
         }
     }
 
@@ -740,7 +795,8 @@ impl<'a, A: AbortLink> VcSolver<'a, A> {
     /// none). The sequential kernel with [`NoAbort`]; the body of a split
     /// worker with [`SharedAbort`], whose `false` is not authoritative
     /// once the flag is triggered — another worker already found a cover.
-    /// Allocation-free on a warm arena.
+    /// Nor is a `false` with `halted` set: `run.stop` fired. Allocation-free
+    /// on a warm arena.
     fn decide(&mut self, alive: &Bitset, k: usize, out: &mut Vec<u32>) -> bool {
         out.clear();
         if self.scratch.depths.is_empty() {
@@ -757,14 +813,19 @@ impl<'a, A: AbortLink> VcSolver<'a, A> {
     /// Decision: cover of size ≤ k for the alive set the caller placed in
     /// `scratch.depths[depth].alive`. On success the chosen vertices are
     /// appended to `cover`; on failure `cover` is restored to its length
-    /// at entry. When the abort link fires, the search unwinds with
-    /// `false` — a result the *caller* must treat as non-authoritative.
+    /// at entry. When the abort link or `run.stop` fires, the search
+    /// unwinds with `false` — a result the *caller* must treat as
+    /// non-authoritative. A node with at most `word_cutoff` live vertices
+    /// gathers them once and finishes its subtree on the word kernel.
     fn solve(&mut self, depth: usize, k: i64, cover: &mut Vec<u32>) -> bool {
-        if self.abort.aborted() {
+        let alive = &self.scratch.depths[depth].alive;
+        if alive.len() <= self.word_cutoff {
+            let (g, all) = WordGraph::gather(self.adj, alive);
+            return self.word_solve(&g, all, k, cover);
+        }
+        if !self.enter() {
             return false;
         }
-        self.stats.nodes += 1;
-        self.live.tick(self.stats.nodes, &mut self.stats.sampled);
         while self.scratch.depths.len() <= depth + 1 {
             // First visit to this depth (warm-up): grow the arena.
             self.scratch.depths.push(VcDepth::default());
@@ -773,6 +834,74 @@ impl<'a, A: AbortLink> VcSolver<'a, A> {
         let ok = self.solve_with(depth, &mut d.alive, k, cover);
         self.scratch.depths[depth] = d;
         ok
+    }
+
+    /// Counts one node, and polls the abort link every node and
+    /// `run.stop` every [`SAMPLE_INTERVAL`](crate::live::SAMPLE_INTERVAL)
+    /// nodes. Returns `false` when the search must unwind.
+    #[inline]
+    fn enter(&mut self) -> bool {
+        if self.halted || self.abort.aborted() {
+            return false;
+        }
+        self.stats.nodes += 1;
+        if self.run.pulse(self.stats.nodes, &mut self.stats.sampled) {
+            self.halted = true;
+            return false;
+        }
+        true
+    }
+
+    /// [`VcSolver::solve`] on a gathered subgraph, `alive` a mask over its
+    /// local indices: the same kernelization, bounds, path/cycle tail and
+    /// branch order, with every set one word. The children are masks
+    /// passed down, so nothing is copied between depths.
+    fn word_solve(
+        &mut self,
+        g: &WordGraph,
+        mut alive: u64,
+        mut k: i64,
+        cover: &mut Vec<u32>,
+    ) -> bool {
+        if !self.enter() {
+            return false;
+        }
+        let frame_mark = cover.len();
+        let Some(kern) = g.kernelize(&mut alive, &mut k, cover, &mut self.stats.reductions) else {
+            cover.truncate(frame_mark);
+            return false;
+        };
+        if kern.m == 0 {
+            return true;
+        }
+        if k <= 0 || kern.m > (k as usize) * kern.max_d {
+            cover.truncate(frame_mark);
+            return false;
+        }
+        if kern.max_d <= 2 {
+            if g.paths_cycles(alive, k, cover) {
+                return true;
+            }
+            cover.truncate(frame_mark);
+            return false;
+        }
+        // Option A: v joins the cover.
+        let v = kern.max_v;
+        let branch_mark = cover.len();
+        cover.push(g.map[v]);
+        if self.word_solve(g, alive & !(1 << v), k - 1, cover) {
+            return true;
+        }
+        cover.truncate(branch_mark);
+        // Option B: all of v's alive neighbors join the cover.
+        let nbrs = g.rows[v] & alive;
+        g.push_all(nbrs, cover);
+        let k_b = k - nbrs.count_ones() as i64;
+        if self.word_solve(g, alive & !(nbrs | 1 << v), k_b, cover) {
+            return true;
+        }
+        cover.truncate(frame_mark);
+        false
     }
 
     fn solve_with(
@@ -1046,6 +1175,210 @@ impl<'a, A: AbortLink> VcSolver<'a, A> {
     }
 }
 
+/// Largest live set a decision node gathers into a [`WordGraph`]. 99.6%
+/// of paley-401's k-VC nodes have at most 64 live vertices; wider sets
+/// stay on the [`BitMatrix`] rows.
+const WORD_CUTOFF: usize = 64;
+
+/// The live subgraph of a k-VC node of at most 64 vertices, gathered
+/// once: local vertex `i` is matrix vertex `map[i]`, in ascending order,
+/// and `rows[i]` is its adjacency over the local indices. The map keeps
+/// the matrix order, so every lowest-index pick, first-seen tie-break and
+/// cover push of the word kernel happens as on the wide one.
+struct WordGraph {
+    rows: [u64; 64],
+    map: [u32; 64],
+}
+
+/// The local set `{0, …, c−1}`. `1u64 << 64` overflows (in release
+/// builds it wraps to `1`, which would make a full 64-vertex set
+/// empty), so `c = 64` is spelled out.
+fn low_mask(c: usize) -> u64 {
+    debug_assert!(c <= 64);
+    if c == 64 {
+        u64::MAX
+    } else {
+        (1u64 << c) - 1
+    }
+}
+
+impl WordGraph {
+    /// Gathers `adj` restricted to `alive` (at most 64 members) by one
+    /// bit test per pair; returns it with the mask of all its vertices.
+    fn gather(adj: &BitMatrix, alive: &Bitset) -> (WordGraph, u64) {
+        let mut g = WordGraph {
+            rows: [0; 64],
+            map: [0; 64],
+        };
+        let mut c = 0;
+        for v in alive.iter() {
+            g.map[c] = v as u32;
+            c += 1;
+        }
+        let map = &g.map[..c];
+        for (row_out, &v) in g.rows.iter_mut().zip(map) {
+            let row = adj.row(v as usize);
+            let mut r = 0u64;
+            for (j, &u) in map.iter().enumerate() {
+                let u = u as usize;
+                r |= (row[u / 64] >> (u % 64) & 1) << j;
+            }
+            *row_out = r;
+        }
+        (g, low_mask(c))
+    }
+
+    /// Pushes the matrix indices of `set` onto `cover`, ascending.
+    fn push_all(&self, mut set: u64, cover: &mut Vec<u32>) {
+        while set != 0 {
+            cover.push(self.map[set.trailing_zeros() as usize]);
+            set &= set - 1;
+        }
+    }
+
+    /// [`VcSolver::kernelize`] on a mask: the same rules in the same
+    /// order, degrees by `popcount(rows[v] & alive)`.
+    fn kernelize(
+        &self,
+        alive: &mut u64,
+        k: &mut i64,
+        cover: &mut Vec<u32>,
+        reductions: &mut u64,
+    ) -> Option<Kernelized> {
+        loop {
+            if *k < 0 {
+                return None;
+            }
+            let mut changed = false;
+            let mut m2 = 0usize;
+            let mut max_v = usize::MAX;
+            let mut max_d = 0usize;
+            let mut w = *alive;
+            while w != 0 {
+                let v = w.trailing_zeros() as usize;
+                w &= w - 1;
+                if *alive & 1 << v == 0 {
+                    continue; // removed earlier in this sweep
+                }
+                let nbrs = self.rows[v] & *alive;
+                let d = nbrs.count_ones() as usize;
+                if d == 0 {
+                    *alive &= !(1 << v);
+                    *reductions += 1;
+                    changed = true;
+                } else if d as i64 > *k {
+                    cover.push(self.map[v]);
+                    *alive &= !(1 << v);
+                    *reductions += 1;
+                    *k -= 1;
+                    changed = true;
+                    if *k < 0 {
+                        return None;
+                    }
+                } else if d == 1 {
+                    let u = nbrs.trailing_zeros() as usize;
+                    cover.push(self.map[u]);
+                    *alive &= !(1 << u | 1 << v);
+                    *reductions += 2;
+                    *k -= 1;
+                    changed = true;
+                } else if d == 2
+                    && self.rows[nbrs.trailing_zeros() as usize] & (nbrs & (nbrs - 1)) != 0
+                {
+                    // Non-merging degree-2 rule: the two neighbours are
+                    // adjacent, so take both.
+                    self.push_all(nbrs, cover);
+                    *alive &= !(nbrs | 1 << v);
+                    *reductions += 3;
+                    *k -= 2;
+                    changed = true;
+                } else {
+                    m2 += d;
+                    if d > max_d {
+                        max_d = d;
+                        max_v = v;
+                    }
+                }
+            }
+            if !changed {
+                return Some(Kernelized {
+                    m: m2 / 2,
+                    max_v,
+                    max_d,
+                });
+            }
+        }
+    }
+
+    /// [`VcSolver::solve_paths_cycles`] on a mask: path walks from the
+    /// endpoints first, then the cycles, pushing the same vertices in the
+    /// same order. On failure the caller restores `cover`.
+    fn paths_cycles(&self, alive: u64, mut k: i64, cover: &mut Vec<u32>) -> bool {
+        let mut seen = 0u64;
+        // The walk's next vertex is the lowest unseen alive neighbour;
+        // the previous one is always seen already.
+        let next = |cur: usize, seen: u64| self.rows[cur] & alive & !seen;
+        let mut starts = alive;
+        while starts != 0 {
+            let v = starts.trailing_zeros() as usize;
+            starts &= starts - 1;
+            if seen & 1 << v != 0 || (self.rows[v] & alive).count_ones() > 1 {
+                continue;
+            }
+            // Take every second vertex of the path.
+            let (mut cur, mut odd) = (v, false);
+            loop {
+                seen |= 1 << cur;
+                if odd {
+                    cover.push(self.map[cur]);
+                    k -= 1;
+                }
+                let nx = next(cur, seen);
+                if nx == 0 {
+                    break;
+                }
+                cur = nx.trailing_zeros() as usize;
+                odd = !odd;
+            }
+            if k < 0 {
+                return false;
+            }
+        }
+        let mut starts = alive;
+        while starts != 0 {
+            let v = starts.trailing_zeros() as usize;
+            starts &= starts - 1;
+            if seen & 1 << v != 0 {
+                continue;
+            }
+            // A cycle of length L needs ceil(L/2): odd positions, plus
+            // the last vertex when L is odd.
+            let (mut cur, mut len) = (v, 0usize);
+            loop {
+                seen |= 1 << cur;
+                if len % 2 == 1 {
+                    cover.push(self.map[cur]);
+                    k -= 1;
+                }
+                len += 1;
+                let nx = next(cur, seen);
+                if nx == 0 {
+                    break;
+                }
+                cur = nx.trailing_zeros() as usize;
+            }
+            if len % 2 == 1 && len > 1 {
+                cover.push(self.map[cur]);
+                k -= 1;
+            }
+            if k < 0 {
+                return false;
+            }
+        }
+        true
+    }
+}
+
 /// Verifies `cover` touches every edge of the alive subgraph (tests).
 pub fn is_vertex_cover(adj: &BitMatrix, alive: &Bitset, cover: &[u32]) -> bool {
     let mut covered = vec![false; adj.len()];
@@ -1066,7 +1399,8 @@ pub fn is_vertex_cover(adj: &BitMatrix, alive: &Bitset, cover: &[u32]) -> bool {
 mod tests {
     use super::*;
 
-    use crate::test_util::{exact_clique, pseudo_graph, test_pool, thread_allocs};
+    use crate::live::SAMPLE_INTERVAL;
+    use crate::test_util::{exact_clique, pseudo_graph, stop_at, test_pool, thread_allocs};
     use crate::Split;
     use lazymc_sched::TaskMeta;
 
@@ -1292,7 +1626,7 @@ mod tests {
         let mut out = Vec::new();
         // Pre-triggered: the search unwinds immediately (nodes == 0) and
         // its `false` is non-authoritative by contract.
-        let mut solver = VcSolver::new(&m, &mut scratch, SharedAbort(&abort), LiveNodes::NONE);
+        let mut solver = VcSolver::new(&m, &mut scratch, SharedAbort(&abort), Run::default());
         assert!(!solver.decide(&alive, 60, &mut out));
         assert_eq!(solver.stats.nodes, 0);
     }
@@ -1309,11 +1643,15 @@ mod tests {
         let mut scratch = VcScratch::default();
         let mut cover = Vec::new();
         let mut both = || {
-            let mut solver =
-                VcSolver::new(&adj, &mut scratch, SharedAbort(&abort), LiveNodes::NONE);
-            // At the optimum (success path) and one below (failure path).
-            assert!(solver.decide(&alive, mvc, &mut cover));
-            assert!(!solver.decide(&alive, mvc - 1, &mut cover));
+            // The word kernel, and the wide one all the way down.
+            for word_cutoff in [WORD_CUTOFF, 0] {
+                let mut solver =
+                    VcSolver::new(&adj, &mut scratch, SharedAbort(&abort), Run::default());
+                solver.word_cutoff = word_cutoff;
+                // At the optimum (success path) and one below (failure path).
+                assert!(solver.decide(&alive, mvc, &mut cover));
+                assert!(!solver.decide(&alive, mvc - 1, &mut cover));
+            }
         };
 
         both();
@@ -1351,5 +1689,108 @@ mod tests {
             &mut out
         ));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn low_mask_spells_out_the_full_word() {
+        assert_eq!(low_mask(0), 0);
+        assert_eq!(low_mask(1), 1);
+        assert_eq!(low_mask(63), u64::MAX >> 1);
+        assert_eq!(low_mask(64), u64::MAX);
+    }
+
+    /// The sequential decision and pipeline with the word kernel from
+    /// [`WORD_CUTOFF`] live vertices, and with 0, which keeps every
+    /// non-empty node on the wide kernel: the same outcome, cover and
+    /// statistics on G(n, p) on both sides of 64 vertices. Debug builds
+    /// run a small sweep, release builds the full one.
+    #[test]
+    fn word_kernel_matches_wide_kernel() {
+        let (sizes, densities): (Vec<usize>, &[u64]) = if cfg!(debug_assertions) {
+            (
+                vec![1, 2, 3, 8, 21, 40, 63, 64, 65, 70],
+                &[50, 300, 500, 700, 950],
+            )
+        } else {
+            let mut sizes: Vec<usize> = (1..=70).collect();
+            sizes.extend([80, 90, 100, 115, 130]);
+            (sizes, &[50, 150, 300, 500, 700, 850, 950])
+        };
+        for n in sizes {
+            for &p in densities {
+                let seed = 1000 * n as u64 + p;
+                let m = pseudo_graph(n, p, seed);
+                let all = Bitset::full(n);
+                let mvc = min_vertex_cover(&m, None).len();
+                for k in [mvc.checked_sub(1), Some(mvc)].into_iter().flatten() {
+                    let run = |word_cutoff| {
+                        let (mut st, mut out) = (VcStats::default(), Vec::new());
+                        let d = decision(
+                            &m,
+                            &all,
+                            k,
+                            Run::default(),
+                            word_cutoff,
+                            Some(&mut st),
+                            &mut out,
+                        );
+                        (d, out, st)
+                    };
+                    let word = run(WORD_CUTOFF);
+                    assert_eq!(word.0.found, k == mvc, "n={n} p={p} k={k}");
+                    assert_eq!(run(0), word, "decision n={n} p={p} seed={seed} k={k}");
+                }
+                let omega = exact_clique(&m).len();
+                for lb in [0, omega.saturating_sub(1), omega] {
+                    let run = |word_cutoff| {
+                        let (mut st, mut out) = (VcStats::default(), Vec::new());
+                        let found = clique_via_vc(
+                            &m,
+                            lb,
+                            Run::default(),
+                            word_cutoff,
+                            Some(&mut st),
+                            &mut out,
+                        );
+                        (found, out, st)
+                    };
+                    let word = run(WORD_CUTOFF);
+                    assert_eq!(word.0, omega > lb, "n={n} p={p} lb={lb}");
+                    assert_eq!(run(0), word, "pipeline n={n} p={p} seed={seed} lb={lb}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stop_halts_a_decision_within_its_polls() {
+        // One below its minimum cover (85): a search of 119k nodes.
+        let m = pseudo_graph(110, 150, 117);
+        let alive = Bitset::full(110);
+        const POLLS: u64 = 3;
+        let pool = test_pool();
+        for width in [1, 2] {
+            let stop = stop_at(POLLS as usize);
+            let run = Run {
+                stop: Some(&stop),
+                ..split_run(&pool, width)
+            };
+            let mut st = VcStats::default();
+            let mut out = Vec::new();
+            let d = vertex_cover_decision(&m, &alive, 84, run, Some(&mut st), &mut out);
+            assert!(d.stopped && !d.found && out.is_empty(), "width {width}");
+            if width == 1 {
+                // The sequential kernel stops at exactly its last poll.
+                assert_eq!(st.nodes, POLLS * SAMPLE_INTERVAL);
+            } else {
+                // Every claim polls too; task generation adds a few
+                // unpolled nodes.
+                assert!(
+                    st.nodes <= POLLS * SAMPLE_INTERVAL + 64,
+                    "{} nodes",
+                    st.nodes
+                );
+            }
+        }
     }
 }
